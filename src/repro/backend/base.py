@@ -1,11 +1,11 @@
 """Array-ops backend interface and selection machinery.
 
 The batched RNS engine's hot kernels — row-wise modular arithmetic,
-Barrett/Montgomery reduce chains, the stacked Shoup NTT/INTT butterfly
-sweeps and the key-switch wide-accumulator inner product — are all
-*array programs*: dense passes over ``(num_primes, ...)`` uint64 tensors
-with per-row constants. This module defines the small interface those
-programs are written against, so the whole hot path can switch between
+Barrett/Montgomery reduce chains, the stacked NTT/INTT and the key-switch
+wide-accumulator inner product — are all *array programs*: dense passes
+over ``(num_primes, ...)`` uint64 tensors with per-row constants. This
+module defines the small interface those programs are written against,
+so the whole hot path can switch between
 
 * the **numpy** reference backend (always available, the default),
 * a **numba** backend that JIT-fuses the reduce chains, butterfly sweeps

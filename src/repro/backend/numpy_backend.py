@@ -19,12 +19,23 @@ elementwise hot path:
   is exact (``s - q`` wraps past ``2**63`` when ``s < q``) and runs as
   two unmasked passes — ~6x faster than the masked form at n=2048.
 
-The stacked Shoup NTT/INTT butterfly sweep moved here unchanged from
-``repro.ntt.stacked`` (PR 2); it keeps its checked ``@bounded``
-lazy-window contract.
+The stacked NTT/INTT run as exact float64 GEMMs — WarpDrive's
+tensor-core NTT (§IV-B) with 16-bit table limbs against the 53-bit
+mantissa instead of 8-bit limbs against int32 accumulators. The plan
+(:mod:`repro.ntt.limbgemm`) decomposes the transform four-step style
+into dense leaf and cyclic GEMMs of depth at most 64 with element-wise
+twiddles between them; per level, one BLAS call per prime yields both
+limb sums, which two float Barrett steps ``v - rint(v / q) * q`` fold
+into a balanced residue. The plan build proves every sum stays below
+``2**53``; prime blocks of about :data:`_BLOCK_ELEMS` elements share one
+cache-resident workspace. The uint64 entry and the canonicalising exit
+are checked ``@bounded`` code; the float section between them is an
+``assume=True`` axiom (docs/analysis.md, "The float64 lane contract").
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,70 +53,205 @@ def _col(vec: np.ndarray, ndim: int) -> np.ndarray:
     return vec.reshape((-1,) + (1,) * (ndim - 1))
 
 
-@bounded(in_q=2, max_q_multiple=4, out_q=2,
-         params={"a": {"q": 2}, "omega": {"q": 1},
-                 "omega_sh": {"shoup": 32}, "q": {"modulus": True}})
-def _butterfly_stages(a: np.ndarray, omega: np.ndarray,
-                      omega_sh: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Radix-2 DIT sweep over axis 1 of ``a`` (shape ``(P, N, G)``,
-    bit-reversed input order, values ``< 2q``); natural order out, lazy
-    ``< 2q`` values. Mutates and returns ``a``.
+# ---- the float64 limb-split GEMM NTT (repro.ntt.limbgemm) ---------------
 
-    Every stage runs through four preallocated half-size scratch buffers
-    (reshaped per stage — each stage touches exactly ``P * N/2 * G``
-    elements) so the sweep performs zero allocations, and the difference
-    leg exploits uint64 wraparound: ``lo - hi`` either is already the
-    canonical-lazy value or wraps past ``2**63``, so ``min(d, d + 2q)``
-    folds the borrow in one pass instead of pre-biasing by ``2q``.
+#: Elements per prime block of a stacked transform: one block's float64
+#: workspace stays cache-resident and is reused by every block, instead
+#: of streaming the whole batch through fresh temporaries once per pass.
+_BLOCK_ELEMS = 1 << 15
+#: ufunc buffer size (elements) inside the float section. numpy buffers
+#: a broadcast per-prime column (``q``, ``1/q``) whenever the rows of the
+#: other operand are shorter than the buffer, which makes those passes
+#: ~3x slower at the 512-4096 element rows of a stacked transform; below
+#: 1024 the uint64 <-> float64 casting passes slow down instead.
+_UFUNC_BUFSIZE = 1024
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    """The leading ``prod(shape)`` elements of a flat buffer as ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+class _GemmRun:
+    """Float64 state of one prime block: per-prime ``q`` and ``1/q``
+    columns, the plans, and views of the call's workspace.
+
+    Every value here is an exact integer in float64 lanes; the plan build
+    refuses any ``(q, depth, limb)`` whose sums could reach ``2**53``, so
+    these helpers carry no interval annotations of their own —
+    :func:`_gemm_ntt` states the resulting uint64 bound as an axiom.
     """
-    num_primes, n, g = a.shape
-    q4 = q.reshape(-1, 1, 1, 1)
-    two_q = q4 + q4
-    half_elems = num_primes * (n // 2) * g
-    buf_v = np.empty(half_elems, dtype=np.uint64)
-    buf_t = np.empty(half_elems, dtype=np.uint64)
-    buf_s = np.empty(half_elems, dtype=np.uint64)
-    buf_d = np.empty(half_elems, dtype=np.uint64)
-    length = 2
-    while length <= n:
-        half = length // 2
-        shape = (num_primes, n // length, half, g)
-        view = a.reshape(num_primes, n // length, length, g)
-        lo = view[:, :, :half, :]
-        hi = view[:, :, half:, :]
-        s = buf_s.reshape(shape)
-        d = buf_d.reshape(shape)
-        if length == 2:
-            # The length-2 stage multiplies by omega^0 = 1: no mul, no copy.
-            np.add(lo, hi, out=s)
-            np.subtract(lo, hi, out=d)
+
+    def __init__(self, plans, q: np.ndarray, work: np.ndarray):
+        self.plans = plans
+        self.radix = plans[0].limb_radix
+        self.qf = q.astype(np.float64).reshape(-1, 1, 1, 1)
+        self.qi = 1.0 / self.qf
+        # Workspace: GEMM limb sums, reduction scratch, and two data
+        # buffers that alternate as each GEMM's input and output.
+        size = work.size // 7
+        self.sums = work[:2 * size]
+        self.tmp = work[2 * size:3 * size]
+        self.data = [work[3 * size:5 * size], work[5 * size:]]
+
+    def fresh(self, shape) -> np.ndarray:
+        """The data buffer not holding the current input, as ``shape``."""
+        self.data.reverse()
+        return _view(self.data[0], shape)
+
+    def reduce(self, v: np.ndarray, out: np.ndarray) -> None:
+        """Float Barrett ``v - rint(v / q) * q`` into ``out``: exact for
+        integer ``|v| + q < 2**53``, result ``|r| <= q/2 + 2``."""
+        shape = (-1,) + (1,) * (v.ndim - 1)
+        t = _view(self.tmp, v.shape)
+        np.multiply(v, self.qi.reshape(shape), out=t)
+        np.rint(t, out=t)
+        np.multiply(t, self.qf.reshape(shape), out=t)
+        np.subtract(v, t, out=out)
+
+    def gemm(self, a: np.ndarray, mats) -> np.ndarray:
+        """Contract axis 2 of ``a`` (shape ``(P, B, K, C)``) with each
+        prime's ``(2M, K)`` limb matrix; reduced ``(P, B, M, C)`` out.
+
+        One BLAS call per prime yields both limb sums (``C == 1`` runs
+        as a right-hand product); the hi sum is reduced, scaled by the
+        limb radix and folded into the lo sum before the final reduction.
+        """
+        num_p, b, _, c = a.shape
+        m = mats[0].shape[0] // 2
+        s = _view(self.sums, (num_p, b, 2 * m, c))
+        if c == 1:
+            for p, mat in enumerate(mats):
+                np.matmul(a[p, :, :, 0], mat.T, out=s[p, :, :, 0])
         else:
-            stride = n // length
-            w = omega[:, ::stride][:, :half].reshape(num_primes, 1, half, 1)
-            wsh = omega_sh[:, ::stride][:, :half].reshape(
-                num_primes, 1, half, 1
-            )
-            # Shoup lazy product: v ≡ hi*w (mod q), v < 2q for hi < 2**32.
-            v = buf_v.reshape(shape)
-            t = buf_t.reshape(shape)
-            np.multiply(hi, wsh, out=t)
-            t >>= _U32
-            t *= q4
-            np.multiply(hi, w, out=v)
-            v -= t
-            np.add(lo, v, out=s)
-            np.subtract(lo, v, out=d)
-        # Fold both legs into [0, 2q): s < 4q loses one conditional 2q; the
-        # wrapped d either is correct (< 2q) or recovers via + 2q.
-        t = buf_t.reshape(shape)
-        np.subtract(s, two_q, out=t)
-        np.minimum(s, t, out=s)
-        np.add(d, two_q, out=t)
-        np.minimum(d, t, out=d)
-        view[:, :, :half, :] = s
-        view[:, :, half:, :] = d
-        length *= 2
-    return a
+            for p, mat in enumerate(mats):
+                np.matmul(mat, a[p], out=s[p])
+        lo = s[:, :, :m]
+        hi = s[:, :, m:]
+        self.reduce(hi, out=hi)
+        np.multiply(hi, self.radix, out=hi)
+        np.add(lo, hi, out=lo)
+        y = self.fresh((num_p, b, m, c))
+        self.reduce(lo, out=y)
+        return y
+
+    def twiddle(self, z: np.ndarray, tables) -> None:
+        """In place ``z *= T mod q`` for ``z`` of shape
+        ``(P, B, mb, ma, C)`` and per-prime ``(2, mb, ma)`` limb tables."""
+        t = tables[0][None] if len(tables) == 1 else np.stack(tables)
+        lo = t[:, None, 0, :, :, None]
+        hi = t[:, None, 1, :, :, None]
+        h = _view(self.sums, z.shape)
+        np.multiply(z, hi, out=h)
+        self.reduce(h, out=h)
+        np.multiply(h, self.radix, out=h)
+        np.multiply(z, lo, out=z)
+        np.add(z, h, out=z)
+        self.reduce(z, out=z)
+
+    def entry(self, src: np.ndarray, axis: int) -> np.ndarray:
+        """Centre the uint64 ``src`` into a data buffer with one extra
+        slot along ``axis``: the constant ``1`` the entry GEMM's centring
+        column reads."""
+        shape = list(src.shape)
+        k = shape[axis]
+        shape[axis] = k + 1
+        a = self.fresh(tuple(shape))
+        index = [slice(None)] * len(shape)
+        index[axis] = slice(0, k)
+        np.subtract(src, self.plans[0].centre, out=a[tuple(index)],
+                    casting="unsafe")
+        index[axis] = k
+        a[tuple(index)] = 1.0
+        return a
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """``(P, G, N)`` uint64 in natural order -> float64 ``(P, G, N)``
+        residues ``|r| <= q/2 + 2`` in digit order: the leaf GEMM, then
+        each level's twiddle and cyclic GEMM from the leaf up."""
+        num_p, g, n = x.shape
+        plans = self.plans
+        m = plans[0].radices[0]
+        a = self.entry(x.reshape(num_p, g, m, n // m), axis=2)
+        y = self.gemm(a, [pl.fwd_entry for pl in plans])
+        for depth in reversed(range(len(plans[0].levels))):
+            levels = [pl.levels[depth] for pl in plans]
+            ma, mb, c = levels[0].ma, levels[0].mb, levels[0].cols
+            self.twiddle(y.reshape(num_p, g, mb, ma, c),
+                         [lv.tw for lv in levels])
+            y = self.gemm(y.reshape(num_p, g * mb, ma, c),
+                          [lv.mat for lv in levels])
+        return y.reshape(num_p, g, n)
+
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        """``(P, G, N)`` uint64 in natural order -> float64 natural-order
+        ``(P, G, N)`` residues ``|r| <= q/2 + 2``: each level's cyclic
+        GEMM and twiddle from the root down (the root's GEMM is the entry
+        GEMM), then the leaf GEMM."""
+        num_p, g, n = x.shape
+        plans = self.plans
+        radices = plans[0].radices
+        rev = tuple(range(len(radices) + 1, 1, -1))
+        src = x.reshape((num_p, g) + radices[::-1]).transpose((0, 1) + rev)
+        k = radices[-1]
+        a = self.entry(src, axis=src.ndim - 1)
+        y = self.gemm(a.reshape(num_p, g * (n // k), k + 1, 1),
+                      [pl.inv_entry for pl in plans])
+        for depth, level in enumerate(plans[0].levels):
+            ma, mb, c = level.ma, level.mb, level.cols
+            if depth:
+                y = self.gemm(y.reshape(num_p, g * mb, ma, c),
+                              [pl.levels[depth].imat for pl in plans])
+            self.twiddle(y.reshape(num_p, g, mb, ma, c),
+                         [pl.levels[depth].itw for pl in plans])
+        if plans[0].levels:
+            m = radices[0]
+            y = self.gemm(y.reshape(num_p, g, m, n // m),
+                          [pl.leaf_imat for pl in plans])
+        return y.reshape(num_p, g, n)
+
+
+@bounded(assume=True, in_bits=32, out_q=2, params={"x": {"bits": 32}})
+def _gemm_ntt(x: np.ndarray, stack, *, inverse: bool = False,
+              t_out: bool = False) -> np.ndarray:
+    """Float64 section of the stacked transform: ``(P, G, N)`` uint64 in
+    (``< 2**32``), uint64 representatives ``< 2q`` out.
+
+    Prime blocks of about :data:`_BLOCK_ELEMS` elements run one after the
+    other through one workspace. Digit order is entered or left with one
+    strided copy, and the exit adds ``q`` to the balanced result
+    ``|r| <= q/2 + 2`` while casting back to integers, landing in
+    ``[0, 2q)``. ``t_out`` (forward only) writes the digit-innermost
+    ``(P, N, G)`` layout instead.
+    """
+    num_p, g, n = x.shape
+    plans = stack.gemm_plans
+    radices = plans[0].radices
+    rev = tuple(range(len(radices) + 1, 1, -1))
+    out = np.empty((num_p, n, g) if t_out else (num_p, g, n), dtype=np.uint64)
+    step = max(1, _BLOCK_ELEMS // max(1, g * n))
+    work = np.empty(7 * min(step, num_p) * g * n)
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for p0 in range(0, num_p, step):
+            p1 = min(num_p, p0 + step)
+            run = _GemmRun(plans[p0:p1], stack.q[p0:p1], work)
+            block = out[p0:p1]
+            if inverse:
+                src = run.inverse(x[p0:p1])
+            else:
+                y = run.forward(x[p0:p1]).reshape((p1 - p0, g) + radices)
+                if t_out:
+                    src = y.transpose((0,) + rev + (1,))
+                    block = block.reshape((p1 - p0,) + radices[::-1] + (g,))
+                else:
+                    src = y.transpose((0, 1) + rev)
+                    block = block.reshape((p1 - p0, g) + radices[::-1])
+            np.add(src, run.qf.reshape((-1,) + (1,) * (src.ndim - 1)),
+                   out=block.view(np.int64), casting="unsafe")
+    finally:
+        np.setbufsize(bufsize)
+    return out
 
 
 class NumpyBackend(ArrayBackend):
@@ -180,65 +326,24 @@ class NumpyBackend(ArrayBackend):
 
     # ---- fused transform kernels ----------------------------------------
 
-    @bounded(in_bits=32, out_q=1, out_q_lazy=2, max_q_multiple=4,
-             params={"x": {"bits": 32},
-                     "stack.psi_perm": {"q": 1},
-                     "stack.psi_perm_sh": {"shoup": 32},
-                     "stack.omega": {"q": 1},
-                     "stack.omega_sh": {"shoup": 32},
-                     "stack.q": {"modulus": True}})
+    @bounded(in_bits=32, out_q=1, out_q_lazy=2,
+             params={"x": {"bits": 32}, "stack.q": {"modulus": True}})
     def ntt_forward(self, x: np.ndarray, stack, *, lazy: bool = False,
                     t_out: bool = False) -> np.ndarray:
-        # Bit-reversal gather, then transpose to the digit-innermost
-        # layout so every butterfly slice is contiguous over the G lanes.
-        a = np.ascontiguousarray(
-            x.astype(np.uint64, copy=False)[:, :, stack._perm]
-            .transpose(0, 2, 1)
-        )
-        q3 = stack.q.reshape(-1, 1, 1)
-        # Pre-twist by psi (permuted table) — also reduces lazy inputs
-        # to < 2q.
-        wt = stack.psi_perm[:, :, None]
-        wsh = stack.psi_perm_sh[:, :, None]
-        t = a * wsh
-        t >>= _U32
-        t *= q3
-        a *= wt
-        a -= t
-        a = _butterfly_stages(a, stack.omega, stack.omega_sh, stack.q)
+        y = _gemm_ntt(x.astype(np.uint64, copy=False), stack, t_out=t_out)
         if not lazy:
-            np.subtract(a, q3, out=t)  # canonicalize: < 2q -> < q
-            np.minimum(a, t, out=a)
-        if t_out:
-            return a
-        return np.ascontiguousarray(a.transpose(0, 2, 1))
+            # canonicalize: < 2q -> < q
+            t = y - stack.q.reshape(-1, 1, 1)
+            np.minimum(y, t, out=y)
+        return y
 
-    @bounded(in_q=2, out_q=1, max_q_multiple=4,
-             params={"x": {"q": 2},
-                     "stack.omega_inv": {"q": 1},
-                     "stack.omega_inv_sh": {"shoup": 32},
-                     "stack.psi_inv_scale": {"q": 1},
-                     "stack.psi_inv_scale_sh": {"shoup": 32},
-                     "stack.q": {"modulus": True}})
+    @bounded(in_q=2, out_q=1,
+             params={"x": {"q": 2}, "stack.q": {"modulus": True}})
     def ntt_inverse(self, x: np.ndarray, stack) -> np.ndarray:
-        a = np.ascontiguousarray(
-            x.astype(np.uint64, copy=False)[:, :, stack._perm]
-            .transpose(0, 2, 1)
-        )
-        a = _butterfly_stages(a, stack.omega_inv, stack.omega_inv_sh,
-                              stack.q)
-        q3 = stack.q.reshape(-1, 1, 1)
-        # Fused post-twist psi^{-j} * N^{-1}, then canonicalize.
-        wt = stack.psi_inv_scale[:, :, None]
-        wsh = stack.psi_inv_scale_sh[:, :, None]
-        t = a * wsh
-        t >>= _U32
-        t *= q3
-        a *= wt
-        a -= t
-        np.subtract(a, q3, out=t)
-        np.minimum(a, t, out=a)
-        return np.ascontiguousarray(a.transpose(0, 2, 1))
+        y = _gemm_ntt(x.astype(np.uint64, copy=False), stack, inverse=True)
+        t = y - stack.q.reshape(-1, 1, 1)
+        np.minimum(y, t, out=y)
+        return y
 
     @bounded(assume=True, out_q=1, max_lanes=1 << 20,
              params={"ext": {"bits": 32}, "rows": {"q": 1}})

@@ -25,11 +25,12 @@ import numpy as np
 from ..ckks.keys import KeyGenerator, KeySet
 from ..ckks.keyswitch import keyswitch
 from ..ckks.poly import COEFF, RnsPoly
+from ..ckks.rns_context import get_rns_basis
 from ..ckks.sampling import sample_error, sample_ternary
 from ..ntt import negacyclic_intt, negacyclic_ntt
 from ..ntt.tables import get_tables
 from ..numtheory import CRTReconstructor, find_ntt_prime, modinv
-from ..numtheory.rns import RNSBasis, extend_basis, extend_basis_signed
+from ..numtheory.rns import extend_basis, extend_basis_signed
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,8 @@ class BfvContext:
     def hmult(self, a: BfvCiphertext, b: BfvCiphertext,
               keys: KeySet) -> BfvCiphertext:
         """Scale-invariant product with relinearization."""
-        q_basis = RNSBasis(self.q_moduli)
-        aux_basis = RNSBasis(self._aux_moduli)
+        q_basis = get_rns_basis(tuple(self.q_moduli))
+        aux_basis = get_rns_basis(tuple(self._aux_moduli))
         full_moduli = self.q_moduli + self._aux_moduli
 
         def lift(poly: RnsPoly) -> RnsPoly:
@@ -256,8 +257,8 @@ class BfvContext:
         ``[t*x]_Q`` (known from the Q rows), divide by Q — then an exact
         conversion of the (small) quotient back onto the Q basis.
         """
-        q_basis = RNSBasis(self.q_moduli)
-        aux_basis = RNSBasis(self._aux_moduli)
+        q_basis = get_rns_basis(tuple(self.q_moduli))
+        aux_basis = get_rns_basis(tuple(self._aux_moduli))
         num_q = len(self.q_moduli)
         coeff = poly.to_coeff()
         tx_q = coeff.data[:num_q].copy()

@@ -19,11 +19,12 @@ import numpy as np
 from ..ckks.keys import KeyGenerator, KeySet
 from ..ckks.keyswitch import keyswitch
 from ..ckks.poly import RnsPoly
+from ..ckks.rns_context import get_rns_basis
 from ..ckks.sampling import sample_error, sample_ternary
 from ..ntt import negacyclic_intt, negacyclic_ntt
 from ..ntt.tables import get_tables
 from ..numtheory import CRTReconstructor, modinv
-from ..numtheory.rns import RNSBasis, mod_down_exact_t
+from ..numtheory.rns import mod_down_exact_t
 from .params import BgvParams
 
 
@@ -217,8 +218,8 @@ class BgvContext:
             raise ValueError("already at the lowest level")
         moduli = ct.moduli
         q_last = moduli[-1]
-        main = RNSBasis(moduli[:-1])
-        special = RNSBasis(moduli[-1:])
+        main = get_rns_basis(moduli[:-1])
+        special = get_rns_basis(moduli[-1:])
         parts = []
         for part in (ct.c0, ct.c1):
             lowered = mod_down_exact_t(

@@ -41,7 +41,6 @@ from ..ntt.stacked import (
     stacked_negacyclic_ntt,
 )
 from ..numtheory.rns import (
-    RNSBasis,
     extend_basis,
     extend_basis_stacked,
     mod_down,
@@ -57,6 +56,7 @@ from .ks_common import (
 )
 from .ops import Evaluator
 from .poly import COEFF, EVAL, RnsPoly
+from .rns_context import get_rns_basis
 
 
 def _eval_automorphism_tables(steps: Sequence[int], n: int) -> np.ndarray:
@@ -103,7 +103,7 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
     num_level = len(level_moduli)
     special = tuple(ev.p_moduli)
     target_moduli = level_moduli + special
-    target_basis = RNSBasis(target_moduli)
+    target_basis = get_rns_basis(target_moduli)
     n = ct.n
     num_target = len(target_moduli)
 
@@ -117,7 +117,7 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
         c1_coeff = stacked_negacyclic_intt(ct.c1.data, stack_level)
         _temit("intt", rows=num_level, reads=(ct,), writes=(c1_coeff,))
         ext = extend_basis_stacked(
-            c1_coeff, groups, RNSBasis(level_moduli), target_basis,
+            c1_coeff, groups, get_rns_basis(level_moduli), target_basis,
         )  # (L+K, G, N)
         num_digits = ext.shape[1]
         _temit("modup", source_primes=max(len(g) for g in groups),
@@ -166,7 +166,7 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
         _temit("intt", rows=2 * num_steps * num_target,
                panes=2 * num_steps, reads=(acc0, acc1), writes=(acc_coeff,))
         lowered = mod_down(
-            acc_coeff, RNSBasis(level_moduli), RNSBasis(special)
+            acc_coeff, get_rns_basis(level_moduli), get_rns_basis(special)
         )  # (L, 2S, N)
         _temit("moddown", main_primes=num_level,
                special_primes=len(special), polys=2 * num_steps,
@@ -228,7 +228,7 @@ def hoisted_rotations_looped(ev: Evaluator, ct: Ciphertext,
     num_level = len(level_moduli)
     special = ev.p_moduli
     target_moduli = level_moduli + tuple(special)
-    target_basis = RNSBasis(target_moduli)
+    target_basis = get_rns_basis(target_moduli)
     n = ct.n
     two_n = 2 * n
 
@@ -240,12 +240,12 @@ def hoisted_rotations_looped(ev: Evaluator, ct: Ciphertext,
     extended_digits: List[RnsPoly] = []
     for present in groups:
         sub = c1_coeff.take_primes(present)
-        ext = extend_basis(sub.data, RNSBasis(sub.moduli), target_basis)
+        ext = extend_basis(sub.data, get_rns_basis(sub.moduli), target_basis)
         extended_digits.append(RnsPoly(ext, target_moduli, COEFF))
 
     c0_coeff = ct.c0.to_coeff()
-    main = RNSBasis(level_moduli)
-    special_basis = RNSBasis(tuple(special))
+    main = get_rns_basis(level_moduli)
+    special_basis = get_rns_basis(tuple(special))
 
     out: Dict[int, Ciphertext] = {}
     for step in steps:

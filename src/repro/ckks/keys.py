@@ -16,9 +16,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..numtheory import modinv
-from ..numtheory.rns import RNSBasis, digit_partition
+from ..numtheory.rns import digit_partition
 from .params import CkksParams
 from .poly import EVAL, RnsPoly
+from .rns_context import get_rns_basis
 from .sampling import sample_error, sample_ternary, sample_uniform
 
 
@@ -84,7 +85,7 @@ class KeyGenerator:
         self.p_moduli = tuple(chain.special_primes)
         self.qp_moduli = self.q_moduli + self.p_moduli
         self.p_product = chain.p_product()
-        self._q_basis = RNSBasis(self.q_moduli)
+        self._q_basis = get_rns_basis(self.q_moduli)
 
     # -- top level ---------------------------------------------------------------
 
@@ -183,7 +184,7 @@ class KeyGenerator:
                 "dnum"
             )
         pairs: List[Tuple[RnsPoly, RnsPoly]] = []
-        qp_basis = RNSBasis(self.qp_moduli)
+        qp_basis = get_rns_basis(self.qp_moduli)
         for digit in digits:
             d_product = 1
             for i in digit:

@@ -20,7 +20,7 @@ parallelism WarpDrive's PE kernels exploit (§IV-C):
 * ModUp emits the whole ``(L+K, dnum, N)`` digit tensor in one pass
   (:func:`~repro.numtheory.rns.extend_basis_stacked`), lazily when digits
   are single primes;
-* one stacked Shoup-kernel NTT transforms all ``dnum * (L+K)`` rows
+* one stacked NTT transforms all ``dnum * (L+K)`` rows
   (:mod:`repro.ntt.stacked`);
 * the InnerProduct is a single einsum-style wide-accumulator reduction
   against the stacked evk rows (:func:`~.ks_common.stacked_inner_product`)
@@ -46,7 +46,6 @@ from ..ntt.stacked import (
     stacked_negacyclic_ntt,
 )
 from ..numtheory.rns import (
-    RNSBasis,
     extend_basis,
     extend_basis_stacked,
     mod_down,
@@ -61,6 +60,7 @@ from .ks_common import (
     stacked_key_rows,
 )
 from .poly import COEFF, EVAL, RnsPoly
+from .rns_context import get_rns_basis
 
 
 @bounded()
@@ -93,7 +93,7 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
     level_moduli = d.moduli
     num_level = len(level_moduli)
     target_moduli = level_moduli + tuple(special_moduli)
-    target_basis = RNSBasis(target_moduli)
+    target_basis = get_rns_basis(target_moduli)
     n = d.n
 
     groups, _ = present_digits(ksk.digits, num_level)
@@ -117,7 +117,8 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
         # sets) stay lazy: the stacked NTT reduces them for free in its
         # pre-twist.
         ext = extend_basis_stacked(
-            d_coeff, groups, RNSBasis(level_moduli), target_basis, lazy=True,
+            d_coeff, groups, get_rns_basis(level_moduli), target_basis,
+            lazy=True,
         )
         _temit("modup", source_primes=max(len(g) for g in groups),
                target_primes=num_target, polys=num_digits,
@@ -160,8 +161,8 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
         acc_coeff = stacked_negacyclic_intt(acc, stack_target)
         _temit("intt", rows=2 * num_target, panes=2, split=2,
                reads=(acc,), writes=(acc_coeff,))
-        main = RNSBasis(level_moduli)
-        special = RNSBasis(tuple(special_moduli))
+        main = get_rns_basis(level_moduli)
+        special = get_rns_basis(tuple(special_moduli))
         if plain_modulus is None:
             lowered = mod_down(acc_coeff, main, special)
         else:
@@ -199,7 +200,7 @@ def keyswitch_looped(d: RnsPoly, ksk: KeySwitchKey,
     level_moduli = d.moduli
     num_level = len(level_moduli)
     target_moduli = level_moduli + tuple(special_moduli)
-    target_basis = RNSBasis(target_moduli)
+    target_basis = get_rns_basis(target_moduli)
     n = d.n
 
     d_coeff = d.to_coeff()  # stage 1: INTT
@@ -213,7 +214,7 @@ def keyswitch_looped(d: RnsPoly, ksk: KeySwitchKey,
             continue
         sub = d_coeff.take_primes(present)
         extended = extend_basis(          # stage 2: ModUp
-            sub.data, RNSBasis(sub.moduli), target_basis
+            sub.data, get_rns_basis(sub.moduli), target_basis
         )
         ext_poly = RnsPoly(extended, target_moduli, COEFF).to_eval()  # 3: NTT
         b_j, a_j = ksk.pairs[j]
@@ -222,8 +223,8 @@ def keyswitch_looped(d: RnsPoly, ksk: KeySwitchKey,
         acc0 = acc0 + ext_poly * b_rows   # stage 4: InnerProduct
         acc1 = acc1 + ext_poly * a_rows
 
-    main = RNSBasis(level_moduli)
-    special = RNSBasis(tuple(special_moduli))
+    main = get_rns_basis(level_moduli)
+    special = get_rns_basis(tuple(special_moduli))
     out = []
     for acc in (acc0, acc1):
         coeff = acc.to_coeff()            # stage 5: INTT

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..numtheory.rns import RNSBasis, rescale_rows
+from ..numtheory.rns import rescale_rows
 from ..trace.recorder import emit as _temit
 from .poly import EVAL, RnsPoly
+from .rns_context import get_rns_basis
 
 
 def rescale_poly(poly: RnsPoly, *, primes: int = 1) -> Tuple[RnsPoly, int]:
@@ -41,7 +42,7 @@ def rescale_poly(poly: RnsPoly, *, primes: int = 1) -> Tuple[RnsPoly, int]:
     data = coeff.data
     moduli = list(coeff.moduli)
     for _ in range(primes):
-        basis = RNSBasis(tuple(moduli))
+        basis = get_rns_basis(tuple(moduli))
         data = rescale_rows(data, basis)
         divisor *= moduli[-1]
         moduli = moduli[:-1]

@@ -13,7 +13,10 @@ subtract in the coefficient domain only.
 
 Contexts are cached with the same unified sizing as the twiddle tables
 (:data:`repro.ntt.tables.TABLE_CACHE_SIZE`) so a deep chain cannot evict
-one half of an operation's precompute while keeping the other.
+one half of an operation's precompute while keeping the other. The
+immutable :class:`~repro.numtheory.rns.RNSBasis` objects the key-switch,
+rescale and scheme layers pass to the basis conversions are cached the
+same way (:func:`get_rns_basis`), so a warm operation constructs none.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from ..ntt.stacked import ShoupStack, get_shoup_stack
 from ..ntt.tables import TABLE_CACHE_SIZE
 from ..ntt.twiddles import TwiddleStack, get_twiddle_stack
 from ..numtheory import BatchBarrettReducer
+from ..numtheory.rns import RNSBasis
 
 
 class RnsContext:
@@ -51,9 +55,9 @@ class RnsContext:
 
     @property
     def shoup(self) -> ShoupStack:
-        """The Shoup-multiplication twiddle stack the backend NTT kernels
-        consume (built on first domain conversion; shares the global
-        stack cache with the key-switch pipeline)."""
+        """The per-chain table view the backend NTT kernels consume
+        (built on first domain conversion; shares the global stack cache
+        with the key-switch pipeline)."""
         if self._shoup is None:
             self._shoup = get_shoup_stack(self.moduli, self.n)
         return self._shoup
@@ -73,9 +77,16 @@ def get_rns_context(moduli: Tuple[int, ...], n: int) -> RnsContext:
     return RnsContext(moduli, n)
 
 
-def rns_context_cache_stats() -> dict:
-    """Hit/miss counters of the context cache."""
-    info = get_rns_context.cache_info()
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def get_rns_basis(moduli: Tuple[int, ...]) -> RNSBasis:
+    """Shared, cached basis lookup: every operation over the same moduli
+    tuple reuses one immutable :class:`RNSBasis` (CRT constants and
+    per-prime reducers are built once, not per call)."""
+    return RNSBasis(moduli)
+
+
+def _lru_stats(func) -> dict:
+    info = func.cache_info()
     return {
         "hits": info.hits,
         "misses": info.misses,
@@ -84,22 +95,37 @@ def rns_context_cache_stats() -> dict:
     }
 
 
+def rns_basis_cache_stats() -> dict:
+    """Hit/miss counters of the basis cache."""
+    return _lru_stats(get_rns_basis)
+
+
+def rns_context_cache_stats() -> dict:
+    """Hit/miss counters of the context cache."""
+    return _lru_stats(get_rns_context)
+
+
 def all_cache_stats() -> dict:
     """Counters for every precompute cache the hot paths rely on.
 
-    Keys: ``tables`` (per-prime NTT tables), ``reducers`` (per-prime
-    Barrett reducers), ``twiddle_stacks`` (batched tables), ``contexts``
-    (batched contexts). A homomorphic operation run twice must not
-    increase any ``misses`` on its second run — that is the zero
-    mid-op-recomputation invariant the cache-sizing fix restores.
+    Keys: ``tables`` (per-prime NTT tables), ``gemm_plans`` (per-prime
+    limb-split GEMM NTT plans), ``reducers`` (per-prime Barrett
+    reducers), ``twiddle_stacks`` (batched tables), ``contexts``
+    (batched contexts), ``bases`` (shared RNS bases). A homomorphic
+    operation run twice must not increase any ``misses`` on its second
+    run — that is the zero mid-op-recomputation invariant the
+    cache-sizing fix restores.
     """
+    from ..ntt.limbgemm import gemm_plan_cache_stats
     from ..ntt.tables import table_cache_stats
     from ..ntt.twiddles import twiddle_stack_cache_stats
     from .poly import reducer_cache_stats
 
     return {
         "tables": table_cache_stats(),
+        "gemm_plans": gemm_plan_cache_stats(),
         "reducers": reducer_cache_stats(),
         "twiddle_stacks": twiddle_stack_cache_stats(),
         "contexts": rns_context_cache_stats(),
+        "bases": rns_basis_cache_stats(),
     }

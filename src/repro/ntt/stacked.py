@@ -6,33 +6,41 @@ needs all ``dnum * num_primes`` rows transformed in one pass, the way
 WarpDrive's PE kernels consume the digit dimension as ciphertext-level
 parallelism (§IV-C) rather than launching per-digit transforms serially.
 
-Two things distinguish this kernel from the per-polynomial
-:func:`~repro.ntt.twiddles.batched_negacyclic_ntt`:
+The transform itself lives in the active compute backend
+(:mod:`repro.backend`); this module owns the per-chain table view
+(:class:`ShoupStack`), shape validation and the public entry points.
+On the numpy backend every stacked transform is a sequence of exact
+float64 GEMMs over 16-bit table limbs — WarpDrive's tensor-core NTT
+(§IV-A/B) on the host:
 
-* **Shoup multiplication with lazy (Harvey-style) reduction.** Twiddles
-  are constant per stage, so each carries a precomputed companion
-  ``w' = floor(w * 2**32 / q)`` and the butterfly product is two uint64
-  multiplies and a shift — no Montgomery REDC chain. Products are kept
-  *lazy* in ``[0, 2q)`` through the stages (``min``-trick corrections
-  instead of masked stores) and canonicalized once at the end, exactly
-  the deferred-reduction discipline of GPU NTT kernels.
-* **Digit-innermost layout.** For a ``(P, G, N)`` batch the butterflies
-  run in the transposed ``(P, N, G)`` layout, so every lo/hi slice is a
-  contiguous run of ``G`` lanes at every stage — the strided access that
-  dominates a radix-2 sweep becomes unit-stride over the batch.
+* **Four-step GEMM dataflow.** ``N = ma * mb``: a negacyclic size-``mb``
+  leaf GEMM over the outer index (recursing once more above N = 4096),
+  an element-wise twiddle, then a cyclic size-``ma`` GEMM over the inner
+  index, each of depth at most 64. The negacyclic twists ``psi^j`` /
+  ``psi^-j`` and ``N^-1`` are folded into the per-prime tables
+  (:class:`repro.ntt.limbgemm.GemmNttPlan`, cached per ``(q, N)``), and
+  the frequencies leave in digit order that one strided copy
+  restores (or writes as the digit-innermost ``t_out`` layout).
+* **Exact by construction.** Balanced limbs keep every GEMM sum below
+  ``2**53`` for inputs up to ``2**31`` in magnitude; raw inputs below
+  ``2**32`` are centred by ``-2**31`` on entry. The plan refuses any
+  depth that would break the bound.
+
+The Numba backend instead runs a fused radix-2 Shoup ladder over the
+lazily built tables of :class:`ShoupStack`.
 
 Outputs are canonical (``< q``) and bit-identical to running the
 Montgomery-domain batched kernel row by row (regression-tested).
 
 Lazy inputs: the forward transform accepts any representatives below
-``2**32`` (the Shoup pre-twist reduces them into ``[0, 2q)``), which lets
-the single-prime-digit ModUp broadcast skip its reduction entirely. The
-inverse transform requires inputs below ``2q`` (canonical suffices).
+``2**32``, which lets the single-prime-digit ModUp broadcast skip its
+reduction entirely. The inverse transform requires inputs below ``2q``
+(canonical suffices).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -40,6 +48,7 @@ import numpy as np
 from ..analysis.annotations import bounded, coeff_form, eval_form, takes_form
 from ..backend import active_backend
 from ..numtheory import bit_reverse_permutation
+from .limbgemm import GemmNttPlan, get_gemm_plan
 from .tables import TABLE_CACHE_SIZE, get_tables
 
 _U32 = np.uint64(32)
@@ -57,8 +66,14 @@ def _shoup(table: np.ndarray, q_col: np.ndarray) -> np.ndarray:
 
 
 class ShoupStack:
-    """Plain-domain twiddles plus Shoup companions for one ``(moduli, N)``
-    chain, shared by every stacked transform over that chain.
+    """Per-chain view of the NTT tables for one ``(moduli, N)`` pair,
+    shared by every stacked transform over that chain.
+
+    The numpy backend reads only :attr:`q` and :attr:`gemm_plans` (the
+    per-prime limb-split GEMM plans, cached per ``(q, N)`` and shared
+    across chains). The radix-2 Shoup tables below feed the Numba
+    backend's fused butterfly ladder and are built on first access, so a
+    numpy-only process never materializes them.
 
     Attributes
     ----------
@@ -76,24 +91,56 @@ class ShoupStack:
     def __init__(self, moduli: Sequence[int], n: int):
         self.moduli = tuple(moduli)
         self.n = n
-        tabs = [get_tables(q, n) for q in self.moduli]
         self.q = np.array(self.moduli, dtype=np.uint64)
-        q_col = self.q[:, None]
-        self._perm = np.array(bit_reverse_permutation(n), dtype=np.intp)
 
-        psi = np.stack([t.psi_pows for t in tabs])
-        self.psi_perm = np.ascontiguousarray(psi[:, self._perm])
-        self.psi_perm_sh = _shoup(self.psi_perm, q_col)
-        self.omega = np.stack([t.omega_pows for t in tabs])
-        self.omega_sh = _shoup(self.omega, q_col)
-        self.omega_inv = np.stack([t.omega_inv_pows for t in tabs])
-        self.omega_inv_sh = _shoup(self.omega_inv, q_col)
+    @cached_property
+    def gemm_plans(self) -> Tuple[GemmNttPlan, ...]:
+        return tuple(get_gemm_plan(q, self.n) for q in self.moduli)
 
-        psi_inv = np.stack([t.psi_inv_pows for t in tabs])
-        n_inv = np.array([t.n_inv for t in tabs], dtype=np.uint64)[:, None]
+    @cached_property
+    def _tables(self):
+        return [get_tables(q, self.n) for q in self.moduli]
+
+    @cached_property
+    def _perm(self) -> np.ndarray:
+        return np.array(bit_reverse_permutation(self.n), dtype=np.intp)
+
+    @cached_property
+    def psi_perm(self) -> np.ndarray:
+        psi = np.stack([t.psi_pows for t in self._tables])
+        return np.ascontiguousarray(psi[:, self._perm])
+
+    @cached_property
+    def psi_perm_sh(self) -> np.ndarray:
+        return _shoup(self.psi_perm, self.q[:, None])
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return np.stack([t.omega_pows for t in self._tables])
+
+    @cached_property
+    def omega_sh(self) -> np.ndarray:
+        return _shoup(self.omega, self.q[:, None])
+
+    @cached_property
+    def omega_inv(self) -> np.ndarray:
+        return np.stack([t.omega_inv_pows for t in self._tables])
+
+    @cached_property
+    def omega_inv_sh(self) -> np.ndarray:
+        return _shoup(self.omega_inv, self.q[:, None])
+
+    @cached_property
+    def psi_inv_scale(self) -> np.ndarray:
+        psi_inv = np.stack([t.psi_inv_pows for t in self._tables])
+        n_inv = np.array([t.n_inv for t in self._tables],
+                         dtype=np.uint64)[:, None]
         # psi_inv * n_inv < 2**62 fits uint64; one fused post-scale table.
-        self.psi_inv_scale = (psi_inv * n_inv) % q_col
-        self.psi_inv_scale_sh = _shoup(self.psi_inv_scale, q_col)
+        return (psi_inv * n_inv) % self.q[:, None]
+
+    @cached_property
+    def psi_inv_scale_sh(self) -> np.ndarray:
+        return _shoup(self.psi_inv_scale, self.q[:, None])
 
     @property
     def num_primes(self) -> int:
@@ -131,7 +178,7 @@ def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
     """Forward negacyclic NTT of a ``(P, G, N)`` digit batch (or a plain
     ``(P, N)`` matrix) in one pass; canonical output, same shape.
 
-    The butterfly sweep itself lives in the active backend
+    The transform itself lives in the active backend
     (:mod:`repro.backend`); this wrapper owns shape validation and the
     2-D squeeze so every backend sees the same ``(P, G, N)`` batch.
 
@@ -160,8 +207,8 @@ def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
 def stacked_negacyclic_intt(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
     """Inverse negacyclic NTT of a ``(P, G, N)`` batch (or ``(P, N)``
     matrix); canonical output, same shape. Inputs must be ``< 2q``
-    (canonical inputs always qualify). Delegates the butterfly sweep to
-    the active backend (:mod:`repro.backend`)."""
+    (canonical inputs always qualify). Delegates the transform to the
+    active backend (:mod:`repro.backend`)."""
     squeeze = x.ndim == 2
     x = _check_shape(x, stack)
     out = active_backend().ntt_inverse(x, stack)

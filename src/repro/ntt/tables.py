@@ -114,12 +114,20 @@ class NttTables:
 
 
 def _power_table(base: int, count: int, modulus: int) -> np.ndarray:
-    """Return ``[base**0, base**1, ..., base**(count-1)] mod modulus``."""
-    table = np.empty(count, dtype=np.uint64)
-    value = 1
-    for i in range(count):
-        table[i] = value
-        value = (value * base) % modulus
+    """Return ``[base**0, base**1, ..., base**(count-1)] mod modulus``.
+
+    Built by doubling: ``table[k:2k] = table[:k] * base**k``, each step
+    one uint64 pass (products of two residues ``< 2**32`` fit exactly).
+    """
+    table = np.ones(count, dtype=np.uint64)
+    q = np.uint64(modulus)
+    step = base % modulus
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        table[k:k + m] = (table[:m] * np.uint64(step)) % q
+        step = step * step % modulus
+        k *= 2
     return table
 
 

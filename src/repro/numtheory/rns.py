@@ -17,7 +17,7 @@ here —
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -64,28 +64,35 @@ def _const_col(values, ndim: int) -> np.ndarray:
 
 
 class RNSBasis:
-    """An ordered co-prime basis with cached per-prime reducers."""
+    """An ordered co-prime basis with cached per-prime reducers.
+
+    Immutable after construction, so one instance can be shared by every
+    operation over the same moduli (:func:`repro.ckks.rns_context.
+    get_rns_basis`); :meth:`sub_basis` memoizes its results per instance.
+    """
 
     def __init__(self, moduli: Sequence[int]):
         if not moduli:
             raise ValueError("RNS basis needs at least one modulus")
         if len(set(moduli)) != len(moduli):
             raise ValueError("RNS moduli must be distinct")
-        self.moduli = list(moduli)
-        self.reducers = [BarrettReducer(q) for q in self.moduli]
+        self.moduli = tuple(int(q) for q in moduli)
+        self.reducers = tuple(BarrettReducer(q) for q in self.moduli)
         #: Row-wise reducer for whole-matrix passes (batched engine).
         self.batch = BatchBarrettReducer(self.moduli)
         self.product = 1
         for q in self.moduli:
             self.product *= q
         # hat_i = (Q / q_i) mod q_i inverse, used in basis extension.
-        self._hats = [self.product // q for q in self.moduli]
-        self.hat_invs = [
+        self._hats = tuple(self.product // q for q in self.moduli)
+        self.hat_invs = tuple(
             modinv(hat % q, q) for hat, q in zip(self._hats, self.moduli)
-        ]
+        )
         self._hat_inv_col = np.array(
             self.hat_invs, dtype=np.uint64
         ).reshape(-1, 1)
+        self._hat_inv_col.setflags(write=False)
+        self._subs: Dict[Tuple[int, ...], "RNSBasis"] = {}
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -94,11 +101,17 @@ class RNSBasis:
         return isinstance(other, RNSBasis) and self.moduli == other.moduli
 
     def __hash__(self) -> int:
-        return hash(tuple(self.moduli))
+        return hash(self.moduli)
 
     def sub_basis(self, indices: Sequence[int]) -> "RNSBasis":
-        """Return the basis restricted to the given modulus indices."""
-        return RNSBasis([self.moduli[i] for i in indices])
+        """Return the basis restricted to the given modulus indices
+        (built once per index tuple, then reused)."""
+        key = tuple(indices)
+        sub = self._subs.get(key)
+        if sub is None:
+            sub = RNSBasis([self.moduli[i] for i in key])
+            self._subs[key] = sub
+        return sub
 
     @bounded(out_q=1)
     def zero(self, n: int) -> np.ndarray:
