@@ -8,7 +8,7 @@ through :func:`active_backend`. Selection, in priority order:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` call;
 2. the ``REPRO_BACKEND`` environment variable (``numpy`` | ``numba`` |
-   ``cupy`` | ``auto``);
+   ``auto``);
 3. the numpy reference backend.
 
 Optional backends are probed lazily; an unavailable or

@@ -10,16 +10,13 @@ so the whole hot path can switch between
 * the **numpy** reference backend (always available, the default),
 * a **numba** backend that JIT-fuses the reduce chains, butterfly sweeps
   and ``wide_dot`` into single compiled kernels (LibFHE shows CUDA-Python
-  FHE via Numba is viable for exactly these kernel shapes), and
-* a **cupy** scaffolding backend that moves the elementwise passes onto
-  a GPU device (the WarpDrive target; unoptimized placeholder),
+  FHE via Numba is viable for exactly these kernel shapes),
 
 with one environment variable (``REPRO_BACKEND``) or one call
 (:func:`set_backend`). Optional backends import lazily and *gracefully*:
 a requested backend that is not importable, or that fails its
 bit-exactness self-check against numpy, falls back to numpy with a
-single warning — no code path in this library may hard-require numba or
-cupy.
+single warning — no code path in this library may hard-require numba.
 
 Contract
 --------
@@ -45,14 +42,14 @@ import numpy as np
 from ..analysis.annotations import bounded
 
 #: Environment variable naming the backend to use (read once, at first
-#: :func:`active_backend` call): ``numpy`` | ``numba`` | ``cupy`` |
-#: ``auto``. ``auto`` picks the first available of cupy > numba > numpy.
+#: :func:`active_backend` call): ``numpy`` | ``numba`` | ``auto``.
+#: ``auto`` picks the first available of numba > numpy.
 #: Deprecated: prefer the declared ``backend`` knob in ``repro.tuning``
 #: (the env var stays honored as that knob's default source).
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Selection order tried by ``auto`` (most to least accelerated).
-AUTO_ORDER = ("cupy", "numba", "numpy")
+AUTO_ORDER = ("numba", "numpy")
 
 # -- declared tuning knobs (DESIGN.md §14) ----------------------------------
 
@@ -67,16 +64,21 @@ def _backend_default() -> str:
     always in-domain; :func:`resolve_backend` still warns when an
     explicitly requested backend turns out unavailable.
     """
-    value = os.environ.get(BACKEND_ENV, "numpy").strip().lower() or "numpy"
+    value = _env_request() or "numpy"
     return value if value in ("auto", *_FACTORIES) else "numpy"
+
+
+def _env_request() -> str:
+    """The normalized ``REPRO_BACKEND`` value (``""`` when unset)."""
+    return os.environ.get(BACKEND_ENV, "").strip().lower()
 
 
 register_knob(KnobSpec(
     name="backend", layer="backend",
-    domain=Choice(("auto", "numpy", "numba", "cupy")),
+    domain=Choice(("auto", "numpy", "numba")),
     default_factory=_backend_default,
     doc="Array-ops backend the functional engine dispatches through "
-        "(``auto`` takes the first available of cupy > numba > numpy).",
+        "(``auto`` takes the first available of numba > numpy).",
     observe=lambda pipe: pipe.backend,
 ))
 
@@ -275,18 +277,9 @@ def _make_numba() -> ArrayBackend:
     return NumbaBackend()
 
 
-def _make_cupy() -> ArrayBackend:
-    if importlib.util.find_spec("cupy") is None:
-        raise BackendUnavailable("cupy is not importable")
-    from .cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
 _FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
     "numpy": _make_numpy,
     "numba": _make_numba,
-    "cupy": _make_cupy,
 }
 
 _active: Optional[ArrayBackend] = None
@@ -303,7 +296,6 @@ def available_backends() -> Dict[str, bool]:
     return {
         "numpy": True,
         "numba": importlib.util.find_spec("numba") is not None,
-        "cupy": importlib.util.find_spec("cupy") is not None,
     }
 
 
@@ -332,6 +324,11 @@ def resolve_backend(name: Optional[str] = None) -> ArrayBackend:
     """
     from ..tuning.knobs import knob_default
 
+    env = _env_request()
+    if name is None and env not in ("", "auto", *_FACTORIES):
+        # The knob default degrades garbage to numpy; name it here so the
+        # unknown-backend error below warns instead of staying silent.
+        name = env
     requested = name or knob_default("backend")
     requested = requested.strip().lower() or "numpy"
     if requested == "auto":

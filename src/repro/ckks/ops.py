@@ -140,15 +140,26 @@ class Evaluator:
             d2 = a.c1 * b.c1
             _temit("tensor_product", rows=a.level + 1, reads=(a, b),
                    writes=(d0, d1, d2), scale=a.scale * b.scale)
-            ks0, ks1 = keyswitch(d2, keys.relin, self.p_moduli)
-            c0 = d0 + ks0
-            c1 = d1 + ks1
-            _temit("modadd", rows=a.level + 1, reads=(d0, ks0), writes=(c0,),
-                   scale=a.scale * b.scale)
-            _temit("modadd", rows=a.level + 1, reads=(d1, ks1), writes=(c1,),
-                   scale=a.scale * b.scale)
-            ct = Ciphertext(c0, c1, a.level, a.scale * b.scale)
+            ct = self._relinearize(d0, d1, d2, keys, a.level,
+                                   a.scale * b.scale)
             return self.rescale(ct) if rescale else ct
+
+    def _relinearize(self, d0: RnsPoly, d1: RnsPoly, d2: RnsPoly,
+                     keys: KeySet, level: int, scale: float) -> Ciphertext:
+        """Fold ``d2`` into ``(d0, d1)``: KeySwitch it, add both halves.
+
+        This is the whole ciphertext-level KeySwitch of Table IX (ten
+        key-switching stages plus the combine), so
+        :class:`repro.core.OperationScheduler` records it as ``keyswitch``.
+        """
+        ks0, ks1 = keyswitch(d2, keys.relin, self.p_moduli)
+        c0 = d0 + ks0
+        c1 = d1 + ks1
+        _temit("modadd", rows=level + 1, reads=(d0, ks0), writes=(c0,),
+               scale=scale)
+        _temit("modadd", rows=level + 1, reads=(d1, ks1), writes=(c1,),
+               scale=scale)
+        return Ciphertext(c0, c1, level, scale)
 
     def square(self, ct: Ciphertext, keys: KeySet, *,
                rescale: bool = True) -> Ciphertext:

@@ -11,6 +11,7 @@ directly (it prices operation counts, not live data).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict
@@ -108,6 +109,31 @@ class CkksParams:
         """Size of a (c0, c1) ciphertext at ``level`` in GPU words."""
         level = self.max_level if level is None else level
         return 2 * (level + 1) * self.n * word_bytes
+
+
+def proxy_params_for(params: CkksParams, log2n: int = 10) -> CkksParams:
+    """``params`` with the ring shrunk to ``2**log2n`` (chain unchanged).
+
+    The chain-structure fields that determine trace shapes are preserved,
+    so :func:`repro.trace.lower_trace` accepts the recording for the
+    original ``params``. Returns ``params`` itself when already small.
+    """
+    n = 2 ** log2n
+    if params.n <= n:
+        return params
+    return dataclasses.replace(
+        params, n=n, name=f"{params.name or 'params'}-proxy{log2n}"
+    )
+
+
+def chain_key(params: CkksParams) -> tuple:
+    """The modulus-chain structure that fixes every recorded trace shape.
+
+    Two parameter sets with equal keys record the same ring-degree-free
+    trace for the same functional run, so recordings cache on this key.
+    """
+    return (params.max_level, params.num_special, params.dnum,
+            params.rescale_primes, params.scale_bits)
 
 
 @lru_cache(maxsize=64)

@@ -1,16 +1,24 @@
-"""Lowering of homomorphic operations to WarpDrive kernel plans.
+"""Kernel plans of the homomorphic operations, lowered from functional code.
 
 Each homomorphic operation of §II-A becomes a short list of PE kernels
 (one launch per pipeline stage, every launch covering the whole
-ciphertext). The plans are priced by the GPU simulator; the functional
-layer (:mod:`repro.ckks`) proves the same pipelines numerically.
+ciphertext; §IV-C). No plan here is written by hand: the scheduler
+records the functional :class:`~repro.ckks.ops.Evaluator` operation once,
+at a proxy ring that shares the parameter set's modulus chain, and lowers
+the recording with :func:`repro.trace.lower_trace` (``style="pe"``) at the
+real ring degree. Table IX's fixed 11-kernel KeySwitch is what the
+lowering makes of ``Evaluator._relinearize``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple
 
-from ..ckks.params import CkksParams
+import numpy as np
+
+from ..ckks.context import CkksContext
+from ..ckks.keys import KeySet
+from ..ckks.params import CkksParams, chain_key, proxy_params_for
 from ..gpusim import (
     A100_PCIE_80G,
     ExecutionResult,
@@ -18,17 +26,74 @@ from ..gpusim import (
     KernelSpec,
     run_serial,
 )
-from . import kernels as K
+from ..trace.ir import OpTrace
+from ..trace.recorder import record, span
 from .kernels import DEFAULT_GEOMETRY, GeometryConfig
 from .ntt_engine import WarpDriveNtt
-from .pe_kernel import PeKeySwitchPlan
 
 HOMOMORPHIC_OPS = ("hadd", "hsub", "pmult", "hmult", "hrotate", "rescale",
                    "keyswitch")
 
+#: log2 ring degree of the proxy recordings. Trace shapes are
+#: ring-degree-free, so any ring that carries the chain records the
+#: same launches; a small one keeps key generation cheap.
+_PROXY_LOG2N = 8
+
+#: op -> functional call recorded for it, given ``(ev, keys, ct, pt)``.
+_FUNCTIONAL: Dict[str, Callable[..., object]] = {
+    "hadd": lambda ev, keys, ct, pt: ev.hadd(ct, ct),
+    "hsub": lambda ev, keys, ct, pt: ev.hsub(ct, ct),
+    "pmult": lambda ev, keys, ct, pt: ev.pmult(ct, pt),
+    "hmult": lambda ev, keys, ct, pt: ev.hmult(ct, ct, keys),
+    "hrotate": lambda ev, keys, ct, pt: ev.hrotate(ct, 1, keys),
+    "rescale": lambda ev, keys, ct, pt: ev.rescale(ct),
+    "keyswitch": lambda ev, keys, ct, pt: ev._relinearize(
+        ct.c0, ct.c1, ct.c1, keys, ct.level, ct.scale),
+}
+
+#: chain key -> proxy context and its relinearization/rotation keys.
+_proxies: Dict[tuple, Tuple[CkksContext, KeySet]] = {}
+#: (chain key, op, level) -> recording of that op.
+_traces: Dict[tuple, OpTrace] = {}
+
+
+def _proxy(params: CkksParams) -> Tuple[CkksContext, KeySet]:
+    key = chain_key(params)
+    hit = _proxies.get(key)
+    if hit is None:
+        ctx = CkksContext.create(proxy_params_for(params, _PROXY_LOG2N),
+                                 seed=0)
+        hit = _proxies[key] = (ctx, ctx.keygen(rotations=[1]))
+    return hit
+
+
+def _recorded_op(params: CkksParams, op: str, level: int) -> OpTrace:
+    """Record the functional ``op`` once per chain and level."""
+    key = (chain_key(params), op, level)
+    trace = _traces.get(key)
+    if trace is None:
+        ctx, keys = _proxy(params)
+        # Operands are made outside the recording: only the operation
+        # itself lands in the trace.
+        vals = np.full(4, 0.25)
+        ct = ctx.encrypt(vals, keys, level=level)
+        pt = ctx.encode(vals, level=level)
+        with record(op, params=ctx.params) as rec:
+            # ``keyswitch`` has no evaluator span of its own (it is
+            # ``hmult``'s tail); the op span names its launches.
+            with span(op, level=level):
+                _FUNCTIONAL[op](ctx.evaluator, keys, ct, pt)
+        trace = _traces[key] = rec.trace
+    return trace
+
 
 class OperationScheduler:
-    """Builds and prices kernel plans for one parameter set."""
+    """Builds and prices kernel plans for one parameter set.
+
+    Construction records nothing; the first :meth:`plan` call for an
+    ``(op, level)`` records it (shared by every scheduler on the same
+    chain) and each ``(op, level, batch)`` lowers once per scheduler.
+    """
 
     def __init__(self, params: CkksParams, *,
                  device: GpuSpec = A100_PCIE_80G,
@@ -40,26 +105,42 @@ class OperationScheduler:
         self.ntt = WarpDriveNtt(
             params.n, variant=ntt_variant, device=device, geometry=geometry
         )
+        self._plans: Dict[Tuple[str, int, int], Tuple[KernelSpec, ...]] = {}
 
     # -- plans ------------------------------------------------------------------
 
     def plan(self, op: str, *, level: int = None,
              batch: int = 1) -> List[KernelSpec]:
         level = self.params.max_level if level is None else level
-        builder = {
-            "hadd": self._plan_hadd,
-            "hsub": self._plan_hadd,
-            "pmult": self._plan_pmult,
-            "hmult": self._plan_hmult,
-            "hrotate": self._plan_hrotate,
-            "rescale": self._plan_rescale,
-            "keyswitch": self._plan_keyswitch,
-        }.get(op)
-        if builder is None:
+        key = (op, level, batch)
+        specs = self._plans.get(key)
+        if specs is None:
+            # Deferred: repro.trace.lowering imports this package.
+            from ..trace.lowering import lower_trace
+
+            self._check(op, level)
+            dag = lower_trace(
+                _recorded_op(self.params, op, level), params=self.params,
+                style="pe", device=self.device,
+                ntt_variant=self.ntt.variant, geometry=self.geometry,
+                batch=batch,
+            )
+            specs = self._plans[key] = tuple(dag.specs)
+        return list(specs)
+
+    def _check(self, op: str, level: int) -> None:
+        if op not in HOMOMORPHIC_OPS:
             raise ValueError(
                 f"unknown operation {op!r}; one of {HOMOMORPHIC_OPS}"
             )
-        return builder(level, batch)
+        top = self.params.max_level
+        if not 0 <= level <= top:
+            raise ValueError(f"level {level} outside [0, {top}]")
+        drop = self.params.rescale_primes
+        if op in ("rescale", "hmult") and level < drop:
+            raise ValueError(
+                f"{op} at level {level} cannot drop {drop} prime(s)"
+            )
 
     def simulate(self, op: str, *, level: int = None,
                  batch: int = 1) -> ExecutionResult:
@@ -77,77 +158,6 @@ class OperationScheduler:
 
     def kernel_count(self, op: str, *, level: int = None) -> int:
         return len(self.plan(op, level=level))
-
-    # -- per-op builders -----------------------------------------------------------
-
-    def _elements(self, level: int, batch: int, polys: int = 2) -> int:
-        return self.params.n * (level + 1) * batch * polys
-
-    def _plan_hadd(self, level: int, batch: int) -> List[KernelSpec]:
-        # One PE kernel adds both polynomials of both operands.
-        return [
-            K.modadd_kernel(
-                "hadd", self._elements(level, batch), geometry=self.geometry
-            )
-        ]
-
-    def _plan_pmult(self, level: int, batch: int) -> List[KernelSpec]:
-        # ct (2 polys) x pt (1 poly), eval domain: one Hadamard kernel.
-        return [
-            K.modmul_kernel(
-                "pmult", self._elements(level, batch),
-                geometry=self.geometry,
-            )
-        ]
-
-    def _plan_keyswitch(self, level: int, batch: int) -> List[KernelSpec]:
-        return PeKeySwitchPlan(
-            self.params, level, ntt=self.ntt, geometry=self.geometry,
-            batch=batch,
-        ).kernels()
-
-    def _plan_hmult(self, level: int, batch: int) -> List[KernelSpec]:
-        # Tensor products d0, d1, d2 in one PE kernel (reads both
-        # ciphertexts once), then KeySwitch(d2) and the rescale.
-        n_elems = self._elements(level, batch, polys=1)
-        plan = [
-            K.elementwise_kernel(
-                "hmult.tensor_product", n_elems,
-                ops_per_element=4 * 7 + 2 * 2,  # 4 products, 2 adds
-                read_words=4, write_words=3, geometry=self.geometry,
-            )
-        ]
-        plan += self._plan_keyswitch(level, batch)
-        plan += self._plan_rescale(level, batch)
-        return plan
-
-    def _plan_hrotate(self, level: int, batch: int) -> List[KernelSpec]:
-        plan = [
-            K.automorphism_kernel(
-                "hrotate.automorphism", self.params.n, level + 1,
-                polys=2 * batch, geometry=self.geometry,
-            )
-        ]
-        plan += self._plan_keyswitch(level, batch)
-        return plan
-
-    def _plan_rescale(self, level: int, batch: int) -> List[KernelSpec]:
-        # INTT both polys, exact-divide against the dropped prime(s), NTT
-        # back — one PE kernel per stage.
-        drop = self.params.rescale_primes
-        lvl = level + 1
-        n = self.params.n
-        ntt_batch = 2 * lvl * batch
-        intt = self.ntt.kernel_plan(ntt_batch, inverse=True)
-        ntt = self.ntt.kernel_plan(2 * (lvl - drop) * batch, inverse=False)
-        divide = K.elementwise_kernel(
-            "rescale.divide", n * (lvl - drop) * 2 * batch,
-            ops_per_element=drop * (7 + 2),
-            read_words=1 + drop, write_words=1, geometry=self.geometry,
-        )
-        return [
-            k.renamed("rescale.intt") for k in intt
-        ] + [divide] + [k.renamed("rescale.ntt") for k in ntt]
 
     # -- profiles ---------------------------------------------------------------------
 

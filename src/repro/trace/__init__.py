@@ -17,7 +17,7 @@ lowered DAG.
 
 :mod:`~repro.trace.lowering` and :mod:`~repro.trace.opt` are imported
 lazily (PEP 562): the recorder is imported *by* the instrumented ckks
-hot paths, while the lowering imports the core plan builders which
+hot paths, while the lowering imports the core kernel builders which
 import ckks parameters — resolving ``lower_trace`` on first use keeps
 that cycle open.
 """

@@ -1,7 +1,6 @@
 """Lower a recorded :class:`~repro.trace.ir.OpTrace` to a kernel DAG.
 
-One recording, three machine models (mirroring the plan builders the
-static layer already has):
+One recording, three machine models:
 
 * ``"pe"`` — WarpDrive's Parallelism-Enhanced ciphertext-level kernels
   (§IV-C): independent same-kind stages of one operation instance merge
@@ -9,7 +8,8 @@ static layer already has):
   stage pairs fold into one launch (:func:`_merge_stages`), and stages
   the PE plan deliberately keeps per-accumulator (the KeySwitch tail)
   honor the recorded ``split`` hint.  This reproduces the Table IX launch
-  counts from a functional run instead of a hand-authored list.
+  counts from a functional run; :class:`repro.core.OperationScheduler`
+  prices every single-op plan this way.
 * ``"kf"`` — 100x-style kernel-fused polynomial-level launches: every
   stage splits into per-polynomial/per-digit kernels (the ``panes`` and
   ``polys`` hints), NTTs use the WarpDrive engine per pane.
@@ -33,7 +33,6 @@ from ..core import costs
 from ..core import kernels as K
 from ..core.kernels import DEFAULT_GEOMETRY, GeometryConfig
 from ..core.ntt_engine import WarpDriveNtt
-from ..core.pe_kernel import _merge_stages
 from ..gpusim import A100_PCIE_80G, DagKernel, ExecutionResult, GpuSpec, \
     KernelSpec, run_dag
 from .ir import OpTrace, TraceEvent
@@ -534,6 +533,25 @@ _EW_COSTS = {
 }
 
 
+def _merge_stages(a: KernelSpec, b: KernelSpec) -> KernelSpec:
+    """Fold a dual-kernel NTT's stages into one PE launch descriptor.
+
+    The PE design keeps the KeySwitch at 11 launches regardless of N; for
+    N = 2^16 the two NTT stages execute as one kernel with a grid-wide
+    sync, so their work and traffic add.
+    """
+    return replace(
+        a,
+        int32_ops=a.int32_ops + b.int32_ops,
+        tensor_macs=a.tensor_macs + b.tensor_macs,
+        gmem_read_bytes=a.gmem_read_bytes + b.gmem_read_bytes,
+        gmem_write_bytes=a.gmem_write_bytes + b.gmem_write_bytes,
+        smem_read_bytes=a.smem_read_bytes + b.smem_read_bytes,
+        smem_write_bytes=a.smem_write_bytes + b.smem_write_bytes,
+        barriers=a.barriers + b.barriers + 1,
+    )
+
+
 def _concat_specs(a: KernelSpec, b: KernelSpec) -> KernelSpec:
     """Fuse two independent launches into one grid (horizontal merge).
 
@@ -614,8 +632,7 @@ def lower_trace(trace: OpTrace, *, params: Any = None, style: str = "pe",
     parameter set's modulus-chain structure (``max_level``,
     ``num_special``, ``dnum``) because every prime/digit/row count in the
     trace is taken at face value; only ``n`` is substituted.  ``batch``
-    scales every launch to a batch of ciphertexts, exactly as the static
-    plan builders do.
+    scales every launch to a batch of ciphertexts.
     """
     if style not in STYLES:
         raise ValueError(f"unknown lowering style {style!r}; one of {STYLES}")

@@ -33,7 +33,8 @@ import numpy as np
 
 from ..ckks.bootstrap import BootstrapConfig, Bootstrapper
 from ..ckks.context import CkksContext
-from ..ckks.params import CkksParams, ParameterSets
+from ..ckks.params import CkksParams, ParameterSets, chain_key, \
+    proxy_params_for
 from ..core.scheduler import OperationScheduler
 from ..trace import lower_trace
 from ..trace.ir import OpTrace
@@ -89,26 +90,6 @@ _trace_cache: Dict[tuple, OpTrace] = {}
 _factor_cache: Dict[tuple, float] = {}
 
 
-def proxy_params_for(params: CkksParams, log2n: int = 10) -> CkksParams:
-    """``params`` with the ring shrunk to ``2**log2n`` (chain unchanged).
-
-    The chain-structure fields that determine trace shapes are preserved,
-    so :func:`repro.trace.lower_trace` accepts the recording for the
-    original ``params``. Returns ``params`` itself when already small.
-    """
-    n = 2 ** log2n
-    if params.n <= n:
-        return params
-    return dataclasses.replace(
-        params, n=n, name=f"{params.name or 'params'}-proxy{log2n}"
-    )
-
-
-def _chain_key(params: CkksParams) -> tuple:
-    return (params.max_level, params.num_special, params.dnum,
-            params.rescale_primes, params.scale_bits)
-
-
 def record_bootstrap_trace(params: CkksParams = None, *,
                            proxy_log2n: int = None, fuse: int = None,
                            sine_degree: int = None,
@@ -128,7 +109,7 @@ def record_bootstrap_trace(params: CkksParams = None, *,
     if sine_degree is not None:
         cfg["sine_degree"] = sine_degree
     proxy = proxy_params_for(params, cfg["proxy_log2n"])
-    key = (_chain_key(params), proxy.n, cfg["fuse"], cfg["sine_degree"],
+    key = (chain_key(params), proxy.n, cfg["fuse"], cfg["sine_degree"],
            seed)
     cached = _trace_cache.get(key)
     if cached is not None:
@@ -170,7 +151,7 @@ def record_helr_iteration_trace(params: CkksParams = None, *,
 
     params = params or ParameterSets.helr()
     proxy = proxy_params_for(params, proxy_log2n)
-    key = ("helr", _chain_key(params), proxy.n, samples, features, seed)
+    key = ("helr", chain_key(params), proxy.n, samples, features, seed)
     cached = _trace_cache.get(key)
     if cached is not None:
         return cached
@@ -206,7 +187,7 @@ def record_resnet_block_trace(params: CkksParams = None, *,
 
     params = params or ParameterSets.resnet()
     proxy = proxy_params_for(params, proxy_log2n)
-    key = ("resnet", _chain_key(params), proxy.n, height, width, seed)
+    key = ("resnet", chain_key(params), proxy.n, height, width, seed)
     cached = _trace_cache.get(key)
     if cached is not None:
         return cached
@@ -252,7 +233,7 @@ def record_transcipher_block_trace(params: CkksParams = None, *,
 
     params = params or ParameterSets.aes()
     proxy = proxy_params_for(params, proxy_log2n)
-    key = ("aes-block", _chain_key(params), proxy.n, sbox_degree, seed)
+    key = ("aes-block", chain_key(params), proxy.n, sbox_degree, seed)
     cached = _trace_cache.get(key)
     if cached is not None:
         return cached
@@ -449,7 +430,7 @@ def derived_hoisted_rotation_factor(scheduler: OperationScheduler, *,
     callers can fall back to the constant.
     """
     params = scheduler.params
-    key = (_chain_key(params), params.n, scheduler.device.name,
+    key = (chain_key(params), params.n, scheduler.device.name,
            scheduler.ntt.variant, steps, proxy_log2n, seed)
     cached = _factor_cache.get(key)
     if cached is not None:

@@ -3,8 +3,7 @@ accelerated backends.
 
 Every property here asserts *exact* uint64 equality: the backend contract
 is canonical-value equality, not numerical closeness. The numba module is
-skipped cleanly when numba is not importable (the CI numpy-only leg), and
-likewise for cupy.
+skipped cleanly when numba is not importable (the CI numpy-only leg).
 """
 
 import importlib.util
@@ -25,7 +24,6 @@ from repro.numtheory.barrett import BatchBarrettReducer
 from repro.numtheory.montgomery import BatchMontgomeryReducer
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-HAVE_CUPY = importlib.util.find_spec("cupy") is not None
 
 N = 128
 MODULI = tuple(find_ntt_primes(3, 30, N))
@@ -189,8 +187,3 @@ class BackendParitySuite:
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
 class TestNumbaParity(BackendParitySuite):
     backend_name = "numba"
-
-
-@pytest.mark.skipif(not HAVE_CUPY, reason="cupy not importable")
-class TestCupyParity(BackendParitySuite):
-    backend_name = "cupy"

@@ -36,7 +36,7 @@ def test_default_backend_is_numpy():
 def test_numpy_always_available():
     avail = available_backends()
     assert avail["numpy"] is True
-    assert set(avail) == {"numpy", "numba", "cupy"}
+    assert set(avail) == {"numpy", "numba"}
 
 
 def test_env_var_selects_backend():
@@ -48,6 +48,15 @@ def test_env_var_selects_backend():
 def test_unknown_name_falls_back_with_warning():
     with pytest.warns(RuntimeWarning, match="falling back to numpy"):
         backend = resolve_backend("no-such-backend-ever")
+    assert backend.name == "numpy"
+
+
+def test_removed_cupy_backend_is_unknown():
+    with pytest.raises(BackendUnavailable, match="unknown backend 'cupy'"):
+        B.base._construct("cupy")
+    os.environ[B.BACKEND_ENV] = "cupy"
+    with pytest.warns(RuntimeWarning, match="unknown backend 'cupy'"):
+        backend = set_backend(None)
     assert backend.name == "numpy"
 
 

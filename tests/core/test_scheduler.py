@@ -1,4 +1,4 @@
-"""Tests for operation lowering, PE kernels and the framework facade."""
+"""Tests for the PE plan facade, the memory pool and the framework."""
 
 import pytest
 
@@ -7,10 +7,10 @@ from repro.core import (
     HOMOMORPHIC_OPS,
     MemoryPool,
     OperationScheduler,
-    PeKeySwitchPlan,
     WarpDriveFramework,
     max_working_set_bytes,
 )
+from repro.core import scheduler as scheduler_mod
 
 PARAMS = ParameterSets.set_c()
 
@@ -20,6 +20,12 @@ def sched():
     return OperationScheduler(PARAMS)
 
 
+def modup(scheduler, level):
+    [spec] = [k for k in scheduler.plan("keyswitch", level=level)
+              if k.name.endswith(".modup")]
+    return spec
+
+
 class TestPeKeySwitch:
     def test_eleven_kernels_at_every_level(self, sched):
         """Table IX: WarpDrive KeySwitch is always 11 kernels."""
@@ -27,19 +33,21 @@ class TestPeKeySwitch:
             assert sched.kernel_count("keyswitch", level=level) == 11
 
     def test_eleven_kernels_at_every_set(self):
-        for name in ("SET-C", "SET-D", "SET-E"):
+        for name in ("SET-C", "SET-D", "SET-E", "Boot"):
             s = OperationScheduler(ParameterSets.by_name(name))
-            assert s.kernel_count("keyswitch") == PeKeySwitchPlan.KERNEL_COUNT
+            assert s.kernel_count("keyswitch") == 11
 
     def test_level_out_of_range(self, sched):
-        with pytest.raises(ValueError):
-            PeKeySwitchPlan(PARAMS, 99, ntt=sched.ntt)
+        with pytest.raises(ValueError, match="outside"):
+            sched.plan("keyswitch", level=99)
 
-    def test_active_digits_shrink_with_level(self, sched):
-        full = PeKeySwitchPlan(PARAMS, PARAMS.max_level, ntt=sched.ntt)
-        low = PeKeySwitchPlan(PARAMS, 0, ntt=sched.ntt)
-        assert low.active_digits <= full.active_digits
-        assert low.active_digits >= 1
+    def test_active_digits_shrink_with_level(self):
+        """ModUp's grid carries only the digits present at the level."""
+        boot = OperationScheduler(ParameterSets.boot())
+        full = modup(boot, boot.params.max_level)
+        low = modup(boot, 1)
+        assert low.blocks < full.blocks
+        assert low.blocks >= 1
 
 
 class TestOperationPlans:
@@ -57,7 +65,7 @@ class TestOperationPlans:
 
     def test_hmult_includes_keyswitch_and_rescale(self, sched):
         names = [k.name for k in sched.plan("hmult")]
-        assert any("ks." in n for n in names)
+        assert any(n.startswith("keyswitch.") for n in names)
         assert any("rescale" in n for n in names)
 
     def test_latency_ordering(self, sched):
@@ -85,6 +93,84 @@ class TestOperationPlans:
         assert prof["kernels"] == 11
         assert 0 < prof["compute_util"] <= 100
         assert 0 < prof["memory_util"] <= 100
+
+
+def _points(params):
+    return [(level, batch) for level in (params.max_level, 1)
+            for batch in (1, 16)]
+
+
+@pytest.mark.parametrize("name", ["SET-C", "Boot"])
+class TestLoweredPlans:
+    """Every plan is the PE lowering of the recorded functional op."""
+
+    def test_keyswitch_is_eleven_kernels(self, name):
+        s = OperationScheduler(ParameterSets.by_name(name))
+        for level, batch in _points(s.params):
+            assert len(s.plan("keyswitch", level=level, batch=batch)) == 11
+
+    def test_rescale_is_three_kernels(self, name):
+        # INTT, divide, NTT: at N = 2^16 the dual-kernel NTT stages
+        # merge into one PE launch, as inside the KeySwitch.
+        s = OperationScheduler(ParameterSets.by_name(name))
+        for level, batch in _points(s.params):
+            plan = s.plan("rescale", level=level, batch=batch)
+            assert [k.name for k in plan] == [
+                "rescale.intt", "rescale.divide", "rescale.ntt"]
+
+    def test_hmult_is_tensor_keyswitch_rescale(self, name):
+        s = OperationScheduler(ParameterSets.by_name(name))
+        for level, batch in _points(s.params):
+            hmult = s.plan("hmult", level=level, batch=batch)
+            ks = s.plan("keyswitch", level=level, batch=batch)
+            resc = s.plan("rescale", level=level, batch=batch)
+            assert hmult[0].name == "hmult.tensor_product"
+            assert len(hmult) == 1 + len(ks) + len(resc)
+            assert [k.blocks for k in hmult[1:]] == \
+                [k.blocks for k in ks + resc]
+
+    def test_second_plan_records_nothing(self, name, monkeypatch):
+        s = OperationScheduler(ParameterSets.by_name(name))
+        s.plan("hrotate", level=1)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("plan() recorded again")
+
+        monkeypatch.setattr(scheduler_mod, "record", fail)
+        s.plan("hrotate", level=1)
+        # A fresh scheduler on the same chain reuses the recording too.
+        OperationScheduler(ParameterSets.by_name(name)).plan(
+            "hrotate", level=1)
+
+
+def test_construction_records_nothing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("constructing a scheduler recorded")
+
+    monkeypatch.setattr(scheduler_mod, "record", fail)
+    OperationScheduler(ParameterSets.aes())
+
+
+class TestLevelCheck:
+    def test_negative_and_above_top_levels_raise(self, sched):
+        for level in (-1, PARAMS.max_level + 1):
+            with pytest.raises(ValueError, match="outside"):
+                sched.plan("hadd", level=level)
+
+    def test_rescale_below_rescale_primes_raises(self):
+        s = OperationScheduler(ParameterSets.double_rescale_toy())
+        for op in ("rescale", "hmult"):
+            with pytest.raises(ValueError, match="cannot drop"):
+                s.plan(op, level=1)
+            assert s.kernel_count(op, level=2) >= 3
+
+    def test_rescale_at_level_zero_raises(self, sched):
+        with pytest.raises(ValueError, match="cannot drop"):
+            sched.plan("rescale", level=0)
+
+    def test_rescale_far_above_top_raises(self, sched):
+        with pytest.raises(ValueError, match="outside"):
+            sched.plan("rescale", level=99)
 
 
 class TestMemoryPool:

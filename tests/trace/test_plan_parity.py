@@ -1,32 +1,21 @@
-"""Traced functional ops lower to the static plans' kernel grids.
+"""Proxy-ring plans equal plans recorded at the full ring.
 
-The property the trace layer rests on: for every op in
-``HOMOMORPHIC_OPS``, recording the *functional* implementation and
-lowering it PE-style yields the same kernel count and the same
-``(blocks, warps_per_block)`` grids as the hand-authored
-``OperationScheduler.plan`` at the same level.
-
-Documented divergences (asserted explicitly below):
-
-* ``keyswitch`` — the bare functional primitive returns the switched
-  pair without folding it into a ciphertext, so the plan's trailing
-  ``ks.combine`` kernel has no traced counterpart: the trace matches
-  ``plan[:-1]``.
-* ``hrotate`` — the functional tail adds ``rot0 + ks0`` (one polynomial;
-  ``ks1`` is used as-is), so the final modadd covers half the plan's
-  two-polynomial combine grid.
+``OperationScheduler`` records each op once at a small proxy ring that
+shares the parameter set's modulus chain, then lowers the recording at
+the real ring degree. The property that rests on: recording the same
+functional op at the *full* ring and lowering it PE-style yields exactly
+the same kernel specs, for every op in ``HOMOMORPHIC_OPS``.
 """
 
 import numpy as np
 import pytest
 
 from repro.ckks import CkksContext
-from repro.ckks.keyswitch import keyswitch
 from repro.ckks.params import ParameterSets
 from repro.core import OperationScheduler
 from repro.core.scheduler import HOMOMORPHIC_OPS
 from repro.trace import lower_trace
-from repro.trace.recorder import record
+from repro.trace.recorder import record, span
 
 PARAMS = ParameterSets.small()
 
@@ -39,72 +28,57 @@ def setup():
     vals = np.zeros(ctx.slots)
     vals[:3] = [0.5, -0.25, 0.125]
     ct = ctx.encrypt(vals, keys)
-    ct2 = ctx.encrypt(vals, keys)
     pt = ctx.encode(vals, level=ct.level)
-    return scheduler, ctx, keys, ct, ct2, pt
+    return scheduler, ctx, keys, ct, pt
 
 
-def traced_dag(scheduler, run):
-    with record("op", params=PARAMS) as rec:
-        run()
+def full_ring_plan(scheduler, op, run):
+    assert scheduler.params.n == PARAMS.n
+    with record(op, params=PARAMS) as rec:
+        with span(op, level=PARAMS.max_level):
+            run()
     return lower_trace(
         rec.trace, params=scheduler.params, style="pe",
         device=scheduler.device, ntt_variant=scheduler.ntt.variant,
         geometry=scheduler.geometry,
-    )
+    ).specs
 
 
-def grids(specs):
-    return [(s.blocks, s.warps_per_block) for s in specs]
-
-
-def functional_call(op, ctx, keys, ct, ct2, pt):
+def functional_call(op, ctx, keys, ct, pt):
     ev = ctx.evaluator
     if op == "hadd":
-        return lambda: ev.hadd(ct, ct2)
+        return lambda: ev.hadd(ct, ct)
     if op == "hsub":
-        return lambda: ev.hsub(ct, ct2)
+        return lambda: ev.hsub(ct, ct)
     if op == "pmult":
         return lambda: ev.pmult(ct, pt)
     if op == "hmult":
-        return lambda: ev.hmult(ct, ct2, keys)
+        return lambda: ev.hmult(ct, ct, keys)
     if op == "hrotate":
         return lambda: ev.hrotate(ct, 1, keys)
     if op == "rescale":
-        scaled = ev.pmult(ct, pt)
-        return lambda: ev.rescale(scaled)
+        return lambda: ev.rescale(ct)
     if op == "keyswitch":
-        return lambda: keyswitch(ct.c1, keys.relin, ev.p_moduli)
+        return lambda: ev._relinearize(ct.c0, ct.c1, ct.c1, keys,
+                                       ct.level, ct.scale)
     raise AssertionError(f"unhandled op {op!r}")
 
 
 @pytest.mark.parametrize("op", HOMOMORPHIC_OPS)
 def test_traced_op_matches_plan(op, setup):
-    scheduler, ctx, keys, ct, ct2, pt = setup
-    dag = traced_dag(scheduler, functional_call(op, ctx, keys, ct, ct2, pt))
-    plan = scheduler.plan(op, level=ct.level)
-    traced = grids(dag.specs)
-    planned = grids(plan)
-
-    if op == "keyswitch":
-        # Divergence: no ciphertext to combine into (see module docstring).
-        assert plan[-1].name == "ks.combine"
-        assert traced == planned[:-1]
-    elif op == "hrotate":
-        # Divergence: the traced combine covers one polynomial, not two.
-        assert len(traced) == len(planned)
-        assert traced[:-1] == planned[:-1]
-        assert traced[-1][0] * 2 == planned[-1][0]
-        assert traced[-1][1] == planned[-1][1]
-    else:
-        assert traced == planned
+    scheduler, ctx, keys, ct, pt = setup
+    full = full_ring_plan(scheduler, op,
+                          functional_call(op, ctx, keys, ct, pt))
+    assert scheduler.plan(op, level=ct.level) == full
 
 
 def test_hmult_contains_full_keyswitch_and_rescale(setup):
-    scheduler, ctx, keys, ct, ct2, pt = setup
-    dag = traced_dag(scheduler, functional_call(
-        "hmult", ctx, keys, ct, ct2, pt))
-    names = [nd.spec.name for nd in dag.nodes]
+    scheduler, ctx, keys, ct, pt = setup
+    names = [k.name for k in scheduler.plan("hmult", level=ct.level)]
+    ks = [k.name for k in scheduler.plan("keyswitch", level=ct.level)]
     assert names[0] == "hmult.tensor_product"
+    # The ten key-switching stages, then the combine into (d0, d1).
+    assert names[1:len(ks)] == ks[:-1]
+    assert names[len(ks)] == "hmult.modadd"
     assert "keyswitch.inner_product" in names
     assert names[-1] == "rescale.ntt"
