@@ -2,13 +2,13 @@
 
 ``optimize_trace`` runs the default pipeline — rotation dedup/dead
 elimination, twist folding, element-wise chain fusion, horizontal
-launch merging, memory-aware reordering — over an
-:class:`~repro.trace.ir.OpTrace`; ``schedule_search`` then scores legal
-topological orders of the *lowered* DAG by ``run_dag`` latency.  Every
-pass is verified against its legality contract (structure, replay
-tokens, work conservation; see :mod:`repro.trace.opt.pipeline`), and
-``OpTrace.expanded`` restores primitive granularity so tests can replay
-an optimized recording bit-identically through the functional layer.
+launch merging — over an :class:`~repro.trace.ir.OpTrace`;
+``schedule_search`` then scores legal topological orders of the
+*lowered* DAG by ``run_dag`` latency.  Every pass is verified against
+its legality contract (structure, replay tokens, work conservation; see
+:mod:`repro.trace.opt.pipeline`), and ``OpTrace.expanded`` restores
+primitive granularity so tests can replay an optimized recording
+bit-identically through the functional layer.
 
 Quick use::
 
@@ -29,7 +29,6 @@ from .pipeline import (
     optimize_trace,
 )
 from .reorder import (
-    PoolReorderPass,
     event_output_rows,
     permute_dag,
     schedule_search,
@@ -52,7 +51,6 @@ __all__ = [
     "OptimizationError",
     "PassPipeline",
     "PassStats",
-    "PoolReorderPass",
     "RotationDedupPass",
     "TracePass",
     "default_passes",

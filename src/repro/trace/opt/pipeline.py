@@ -168,9 +168,8 @@ def default_passes() -> List[TracePass]:
     fusion cannot hide duplicate automorphisms inside opaque groups),
     twist folding before chain fusion (transforms make better fusion
     hosts than sibling element-wise events), horizontal merging over
-    what remains, memory-aware reordering last (a pure permutation)."""
+    what remains."""
     from .fusion import FoldTwistPass, FuseElementwisePass, MergeLaunchesPass
-    from .reorder import PoolReorderPass
     from .rotation import RotationDedupPass
 
     return [
@@ -178,7 +177,6 @@ def default_passes() -> List[TracePass]:
         FoldTwistPass(),
         FuseElementwisePass(),
         MergeLaunchesPass(),
-        PoolReorderPass(),
     ]
 
 

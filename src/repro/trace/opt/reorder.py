@@ -1,19 +1,15 @@
-"""Memory-aware reordering and latency-scored schedule search.
+"""Pool-footprint measurement and latency-scored schedule search.
 
-Two layers, both pure permutations (no event or kernel is created,
-merged or dropped — replay parity is free by construction):
-
-* :class:`PoolReorderPass` works on the *trace*: a greedy topological
-  re-ordering that launches the node freeing the most pool bytes next,
-  shrinking the peak :class:`~repro.core.memory_pool.MemoryPool`
-  footprint of a double-buffered executor (a buffer is live from its
-  producer to its last consumer; the recorded program order routinely
-  keeps whole hoisted pane stacks alive across unrelated work).
+* :func:`trace_pool_peak_rows` measures a *trace*: the peak live residue
+  rows of a double-buffered executor in a given event order (a buffer is
+  live from its producer to its last consumer).  The gym's
+  throughput-per-GB objective and ``benchmarks/bench_dagopt.py`` read it.
 * :func:`schedule_search` works on the *lowered* :class:`KernelDag`:
   ``run_dag`` launches ready kernels in index order, so the node order
   is the schedule.  The search prices a small set of deterministic
   candidate orders (recorded, critical-path-first, memory-greedy,
-  shortest-job-first) and keeps the fastest.
+  shortest-job-first) and keeps the fastest.  Every candidate is a pure
+  permutation, so no kernel is created, merged or dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir import OpTrace, TraceEvent
 from .graphs import event_reads, owner_positions
-from .pipeline import PassStats, TracePass
 
 #: Ring-degree-free output size (residue rows written) per event kind.
 _OUT_ROWS = {
@@ -91,76 +86,6 @@ def trace_pool_peak_rows(trace: OpTrace,
             if remaining[p] == 0:
                 total -= live.get(p, 0)
     return peak
-
-
-def _greedy_topo_order(events: Sequence[TraceEvent]) -> List[int]:
-    """Topological order that greedily minimizes live pool rows."""
-    owner = owner_positions(events)
-    preds: List[Set[int]] = []
-    consumers: Dict[int, List[int]] = {}
-    for pos, e in enumerate(events):
-        ps = {owner[d] for d in event_reads(e) if d in owner}
-        ps.discard(pos)
-        preds.append(ps)
-        for p in ps:
-            consumers.setdefault(p, []).append(pos)
-    remaining = {p: len(cs) for p, cs in consumers.items()}
-    out_rows = [event_output_rows(e) for e in events]
-    indegree = [len(ps) for ps in preds]
-    ready = sorted(p for p, deg in enumerate(indegree) if deg == 0)
-    order: List[int] = []
-    done: Set[int] = set()
-    while ready:
-        best = None
-        best_key = None
-        for pos in ready:
-            freed = sum(
-                out_rows[p] for p in preds[pos] if remaining.get(p, 0) == 1
-                and all(c == pos or c in done
-                        for c in consumers.get(p, ()))
-            )
-            key = (out_rows[pos] - freed, pos)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = pos
-        ready.remove(best)
-        order.append(best)
-        done.add(best)
-        for p in preds[best]:
-            remaining[p] = remaining.get(p, 1) - 1
-        for pos, ps in enumerate(preds):
-            if best in ps:
-                indegree[pos] -= 1
-                if indegree[pos] == 0:
-                    ready.append(pos)
-        ready.sort()
-    if len(order) != len(events):
-        raise ValueError("trace contains a dependency cycle")
-    return order
-
-
-class PoolReorderPass(TracePass):
-    """Reorder independent events to shrink the peak pool footprint."""
-
-    name = "pool-reorder"
-
-    def run(self, trace: OpTrace) -> Tuple[OpTrace, PassStats]:
-        events = trace.events
-        before_peak = trace_pool_peak_rows(trace)
-        order = _greedy_topo_order(events)
-        after_peak = trace_pool_peak_rows(trace, order)
-        if after_peak >= before_peak and order != list(range(len(events))):
-            # Greedy did not help; keep the recorded order.
-            order = list(range(len(events)))
-            after_peak = before_peak
-        out = dataclasses.replace(
-            trace, events=tuple(events[pos] for pos in order)
-        )
-        return out, PassStats(
-            self.name, len(events), len(out.events),
-            notes={"pool_peak_rows_before": float(before_peak),
-                   "pool_peak_rows_after": float(after_peak)},
-        )
 
 
 # -- schedule search over lowered DAGs --------------------------------------

@@ -27,7 +27,7 @@ count's deg-63 BSGS evaluation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -339,8 +339,7 @@ def simulate_recorded_bootstrap(params: CkksParams = None, *,
 def recorded_workload_timing(schedule: WorkloadSchedule,
                              scheduler: OperationScheduler, *,
                              batch: int = 1,
-                             recorded_boot: WorkloadTiming,
-                             hoisting: Optional[str] = None
+                             recorded_boot: WorkloadTiming
                              ) -> WorkloadTiming:
     """Price ``schedule`` with its embedded bootstraps swapped for a
     recorded one.
@@ -361,7 +360,7 @@ def recorded_workload_timing(schedule: WorkloadSchedule,
                 bootstraps += item.count
             continue
         core.items.append(item)
-    timing = core.price(scheduler, batch=batch, hoisting=hoisting)
+    timing = core.price(scheduler, batch=batch)
     boot_us = bootstraps * recorded_boot.total_us
     timing.breakdown["boot(recorded)"] = boot_us
     return WorkloadTiming(
@@ -424,10 +423,9 @@ def derived_hoisted_rotation_factor(scheduler: OperationScheduler, *,
 
         ``C_hoisted(S) = C_hrotate * (1 + factor * (S - 1))``
 
-    for ``factor`` — the quantity the hand-tuned
-    :data:`~repro.workloads.schedules.HOISTED_ROTATION_FACTOR` eyeballs.
-    Cached per (chain, device, variant); raises on degenerate traces so
-    callers can fall back to the constant.
+    for ``factor``, the discount :meth:`WorkloadSchedule.price` applies to
+    every hoisted item. Cached per (chain, device, variant); raises
+    ``ValueError`` on a degenerate trace or a factor outside (0, 1).
     """
     params = scheduler.params
     key = (chain_key(params), params.n, scheduler.device.name,
