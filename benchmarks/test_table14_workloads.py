@@ -10,7 +10,8 @@ kernel DAG at the full ring, and the DAG is priced on the
 dependency-aware scheduler. The hand-counted schedules stay as the
 cross-check oracle, priced with the trace-derived hoisting factor (see
 DESIGN.md §10); this test asserts Boot, HELR and ResNet each price
-within 10% of their hand count.
+within 10% of their hand count, and so do the Boot StC, CtS and EvalMod
+phases at BS=1.
 """
 
 from repro.analysis import format_table
@@ -27,16 +28,27 @@ from repro.workloads import (
 )
 
 
+#: Bootstrap phases held to the hand count one by one (ModRaise is a
+#: single element-wise pass on both sides).
+BOOT_PHASES = ("StC", "CtS", "EvalMod")
+
+
+def _phase_us(timing, phase):
+    """Hand-count microseconds of one phase (items noted ``phase.*``)."""
+    return sum(us for note, us in timing.breakdown.items()
+               if note.split(".")[0] == phase)
+
+
 def measure():
     boot_sched = OperationScheduler(ParameterSets.boot())
     nn_sched = OperationScheduler(ParameterSets.resnet())
     helr = ParameterSets.helr()
     out = {}
     for bs in (1, 16):
+        rec_boot = simulate_recorded_bootstrap(scheduler=boot_sched, batch=bs)
+        hand_boot = simulate_bootstrap(scheduler=boot_sched, batch=bs)
         out[bs] = {
-            "boot_ms": simulate_recorded_bootstrap(
-                scheduler=boot_sched, batch=bs
-            ).amortized_ms,
+            "boot_ms": rec_boot.amortized_ms,
             "helr_ms": simulate_recorded_helr_iteration(
                 helr, scheduler=nn_sched, batch=bs
             ).amortized_ms,
@@ -44,9 +56,13 @@ def measure():
                 scheduler=nn_sched, batch=bs
             ).amortized_ms / 1e3,
             # Hand-counted oracles for the agreement asserts.
-            "hand_boot_ms": simulate_bootstrap(
-                scheduler=boot_sched, batch=bs
-            ).amortized_ms,
+            "hand_boot_ms": hand_boot.amortized_ms,
+            # Per-phase device microseconds, recorded vs hand.
+            "boot_phases": {
+                phase: (rec_boot.breakdown.get(phase, 0.0),
+                        _phase_us(hand_boot, phase))
+                for phase in BOOT_PHASES
+            },
             "hand_helr_ms": simulate_helr_iteration(
                 helr, scheduler=nn_sched, batch=bs
             ).amortized_ms,
@@ -124,3 +140,10 @@ def test_table14_workloads(benchmark, record_table):
             assert 0.90 < ratio < 1.10, (
                 f"BS={bs} recorded {rec_key} x{ratio:.3f} of hand derived"
             )
+    # ... and phase by phase, so a whole-boot match cannot hide two
+    # phases that are off in opposite directions.
+    for phase, (rec_us, hand_us) in data[1]["boot_phases"].items():
+        ratio = rec_us / hand_us
+        assert 0.90 < ratio < 1.10, (
+            f"BS=1 recorded {phase} x{ratio:.3f} of hand derived"
+        )

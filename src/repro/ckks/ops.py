@@ -25,7 +25,7 @@ from .ciphertext import Ciphertext, Plaintext
 from .keys import KeySet, KeySwitchKey, PublicKey, SecretKey
 from .keyswitch import keyswitch
 from .params import CkksParams
-from .poly import RnsPoly
+from .poly import EVAL, RnsPoly
 from .rescale import rescale_poly
 from .sampling import sample_error, sample_ternary
 
@@ -191,13 +191,10 @@ class Evaluator:
         consumed until a later rescale.
         """
         scale = self.params.scale if scale is None else scale
-        moduli = self.moduli_at(ct.level)
         scaled = value * scale
         if abs(scaled) >= 2**62:
             raise ValueError("scalar too large for the chosen scale")
-        coeffs = np.zeros(self.params.n, dtype=np.int64)
-        coeffs[0] = int(round(scaled))
-        m = RnsPoly.from_signed(coeffs, moduli).to_eval()
+        m = self._constant_eval(int(round(scaled)), ct.level)
         with _tspan("pmult_scalar", level=ct.level):
             out = Ciphertext(
                 ct.c0 * m, ct.c1 * m, ct.level, ct.scale * scale
@@ -208,15 +205,24 @@ class Evaluator:
 
     def add_scalar(self, ct: Ciphertext, value: float) -> Ciphertext:
         """Add a scalar constant to every slot (no level consumed)."""
-        moduli = self.moduli_at(ct.level)
-        coeffs = np.zeros(self.params.n, dtype=np.int64)
-        coeffs[0] = int(round(value * ct.scale))
-        m = RnsPoly.from_signed(coeffs, moduli).to_eval()
+        m = self._constant_eval(int(round(value * ct.scale)), ct.level)
         with _tspan("add_scalar", level=ct.level):
             out = Ciphertext(ct.c0 + m, ct.c1.copy(), ct.level, ct.scale)
             _temit("modadd", rows=ct.level + 1, reads=(ct, m), writes=(out,),
                    scale=out.scale)
         return out
+
+    def _constant_eval(self, value: int, level: int) -> RnsPoly:
+        """Eval form of the constant polynomial ``value`` at ``level``.
+
+        The NTT of a constant is that constant at every evaluation point,
+        so row ``j`` is ``value mod q_j`` broadcast — bit-identical to
+        transforming the mostly-zero coefficient vector, without the NTT.
+        """
+        moduli = self.moduli_at(level)
+        residues = np.array([value % q for q in moduli], dtype=np.uint64)
+        return RnsPoly(np.repeat(residues[:, None], self.params.n, axis=1),
+                       moduli, EVAL)
 
     def match_scale(self, ct: Ciphertext, target: float) -> Ciphertext:
         """Raise ``ct``'s scale to ``target`` by multiplying by 1.

@@ -11,9 +11,11 @@ The same pipeline runs *functionally* at toy scale in
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Optional
 
 from ..ckks.params import CkksParams, ParameterSets
+from ..ckks.polyeval import chebyshev_plan
 from ..core.scheduler import OperationScheduler
 from ..tuning.knobs import knob_default
 from .schedules import WorkloadSchedule, WorkloadTiming
@@ -60,7 +62,6 @@ def linear_transform_schedule(name: str, slots: int, level: int, *,
                       note=f"{name}.stage{stage}.rot")
             sched.add("pmult", lvl, diags,
                       note=f"{name}.stage{stage}.pmult")
-            sched.add("hadd", lvl, diags, note=f"{name}.stage{stage}.add")
             sched.add("rescale", lvl, 1,
                       note=f"{name}.stage{stage}.rescale")
         return sched
@@ -77,38 +78,34 @@ def linear_transform_schedule(name: str, slots: int, level: int, *,
         sched.add("hrotate", lvl, giant - 1, hoisted=True,
                   note=f"{name}.stage{stage}.rot")
         sched.add("pmult", lvl, radix, note=f"{name}.stage{stage}.pmult")
-        sched.add("hadd", lvl, radix, note=f"{name}.stage{stage}.add")
         sched.add("rescale", lvl, 1, note=f"{name}.stage{stage}.rescale")
     return sched
 
 
 def eval_mod_schedule(level: int, *,
                       degree: Optional[int] = None) -> WorkloadSchedule:
-    """BSGS Chebyshev sine evaluation: ~sqrt-degree ciphertext products.
+    """BSGS Chebyshev sine evaluation: ~2 sqrt(degree) ciphertext products.
 
-    Baby set T_1..T_k and giant squarings cost one HMULT each
-    (k + log2(degree/k) multiplications at descending levels), plus the
-    coefficient PMULTs and additions of the reconstruction.  ``degree``
+    The HMULTs and the scalar PMULTs (one addition each), at the levels
+    they run, come from :func:`~repro.ckks.polyeval.chebyshev_plan` over
+    the odd support of the sine — the plan the functional evaluator
+    executes — plus the input-normalization and output rescales.
+    ``degree``
     defaults from the ``boot.sine_degree`` knob (the value
     ``BootstrapConfig`` uses), never a local literal.
     """
     if degree is None:
         degree = knob_default("boot.sine_degree")
+    plan = chebyshev_plan(range(1, degree + 1, 2))
     sched = WorkloadSchedule("EvalMod")
-    k = max(2, int(math.isqrt(degree + 1)))
-    giants = max(1, int(math.log2(max(2, (degree + 1) // k))))
-    lvl = level
-    for i in range(k - 1):
-        sched.add("hmult", max(1, lvl), 1, note="EvalMod.baby")
-        if i % 2 == 1:
-            lvl -= 1
-    for g in range(giants):
-        lvl = max(1, lvl - 1)
-        sched.add("hmult", lvl, 1, note="EvalMod.giant")
-        sched.add("hmult", lvl, k // 2, note="EvalMod.combine")
-    sched.add("pmult", max(1, lvl), k + giants, note="EvalMod.coeff")
-    sched.add("hadd", max(1, lvl), k + giants, note="EvalMod.add")
-    sched.add("rescale", max(1, lvl), 2, note="EvalMod.rescale")
+    for op, depths in (("hmult", plan.hmult_depths),
+                       ("pmult", plan.pmult_depths),
+                       ("hadd", plan.pmult_depths)):
+        for lvl, count in sorted(Counter(level - d for d in depths).items(),
+                                 reverse=True):
+            sched.add(op, max(1, lvl), count, note=f"EvalMod.{op}")
+    sched.add("rescale", max(1, level - plan.depth), 2,
+              note="EvalMod.rescale")
     return sched
 
 

@@ -19,12 +19,16 @@ import numpy as np
 from ..ckks import CkksContext
 from ..ckks.keys import KeySet
 from ..ckks.linear_transform import LinearTransform
-from ..ckks.polyeval import PolynomialEvaluator
+from ..ckks.polyeval import PolynomialEvaluator, chebyshev_plan
 
 #: Chebyshev coefficients of a smooth squashing activation on [-1, 1]:
 #: 0.5 + 0.625 T1 - 0.125 T3 equals the cubic 0.5 + 0.5x*(1.5 - 0.5x^2)
 #: restricted to [-1, 1] — a classic smooth-sign/sigmoid-like polynomial.
 SQUASH_CHEB = (0.5, 0.625, 0.0, -0.125)
+
+#: Levels one activation consumes: the depth of its BSGS plan (2 for the
+#: cubic — T2, then the ``q * T2 + r`` combine).
+ACTIVATION_DEPTH = chebyshev_plan(np.flatnonzero(SQUASH_CHEB)).depth
 
 
 @dataclass
@@ -71,14 +75,14 @@ class EncryptedMlp:
         """Compile every layer's diagonal stack for the levels a forward
         pass starting at ``input_level`` will visit, so the first
         :meth:`infer` pays no encode/NTT cost.  Walks the same level
-        schedule as :meth:`infer` (one level per transform, three per
-        activation)."""
+        schedule as :meth:`infer` (one level per transform,
+        :data:`ACTIVATION_DEPTH` per activation)."""
         level = input_level
         for layer, lt in zip(self.layers, self._transforms):
             lt.compile(level)
             level -= 1  # the transform's rescale
             if layer.activate:
-                level -= 3  # degree-3 Chebyshev depth
+                level -= ACTIVATION_DEPTH
         if level < 0:
             raise ValueError(
                 f"input level {input_level} below the "
@@ -86,18 +90,13 @@ class EncryptedMlp:
             )
 
     def levels_needed(self) -> int:
-        """Multiplicative depth: 1 per transform; each degree-3 Chebyshev
-        activation costs ceil(log2(3)) + 1 = 3 levels (T2, then T3 at the
-        deeper level, then the coefficient-combination rescale)."""
-        import math
-
-        degree = len(SQUASH_CHEB) - 1
-        act_depth = math.ceil(math.log2(degree)) + 1
+        """Multiplicative depth: 1 per transform plus
+        :data:`ACTIVATION_DEPTH` per activation."""
         depth = 0
         for layer in self.layers:
             depth += 1
             if layer.activate:
-                depth += act_depth
+                depth += ACTIVATION_DEPTH
         return depth
 
     def infer(self, ct, keys: KeySet):

@@ -16,12 +16,13 @@ only the per-kernel geometry changes at lowering time. Recording at
 ``n = 2**proxy_log2n`` makes tracing a 46-prime bootstrap a seconds-scale
 operation instead of an hours-scale one.
 
-The recorded bootstrap's configuration is calibrated to the published
-hand count (see :data:`RECORDED_BOOT_CONFIG` and DESIGN.md §10): the
-proxy slot count gives the same number of FFT stages as the hand
-schedule's 3-stage radix decomposition, and ``sine_degree`` is chosen so
-the Chebyshev product-recurrence issues about as many HMULTs as the hand
-count's deg-63 BSGS evaluation.
+The recorded bootstrap's FFT shape is calibrated to the published hand
+count (see :data:`RECORDED_BOOT_CONFIG` and DESIGN.md §10): the proxy
+slot count and ``fuse`` give the same number of FFT stages as the hand
+schedule's 3-stage radix decomposition.  EvalMod needs no calibration:
+the recording evaluates the ``boot.sine_degree`` sine with the same
+baby-step/giant-step plan
+(:func:`~repro.ckks.polyeval.chebyshev_plan`) the hand count prices.
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ register_knob(KnobSpec(
         "hand count's 3-stage radix decomposition).",
     observe=lambda pipe: pipe.config["recorded.fuse"],
 ))
-register_knob(KnobSpec(
-    name="recorded.sine_degree", layer="workloads",
-    domain=IntRange(7, 255, grid=(15, 31, 63)), default=31,
-    doc="Sine degree of the recorded bootstrap (calibrated to issue "
-        "about as many HMULTs as the hand count's deg-63 BSGS).",
-    observe=lambda pipe: pipe.config["recorded.sine_degree"],
-))
 
 
 def _recorded_boot_config() -> Dict[str, int]:
@@ -76,12 +70,11 @@ def _recorded_boot_config() -> Dict[str, int]:
     return {
         "proxy_log2n": knob_default("recorded.proxy_log2n"),
         "fuse": knob_default("recorded.fuse"),
-        "sine_degree": knob_default("recorded.sine_degree"),
     }
 
 
-#: Calibrated recording knobs (see module docstring): proxy ring degree,
-#: FFT stage fusion, and sine degree of the recorded bootstrap.  Kept as
+#: Calibrated recording knobs (see module docstring): proxy ring degree
+#: and FFT stage fusion of the recorded bootstrap.  Kept as
 #: a module attribute for the benchmark harness; the values are the
 #: ``recorded.*`` knob defaults, not an independent copy.
 RECORDED_BOOT_CONFIG: Dict[str, int] = _recorded_boot_config()
@@ -96,9 +89,11 @@ def record_bootstrap_trace(params: CkksParams = None, *,
                            seed: int = 0) -> OpTrace:
     """Run one functional slim bootstrap at proxy scale and record it.
 
-    The knobs default to :data:`RECORDED_BOOT_CONFIG`. Traces are cached
-    per chain structure and knob set — the expensive functional run
-    happens once per parameter family per process.
+    The knobs default to :data:`RECORDED_BOOT_CONFIG`; ``sine_degree``
+    defaults to the ``boot.sine_degree`` knob, the degree the hand count
+    prices. Traces are cached per chain structure and knob set — the
+    expensive functional run happens once per parameter family per
+    process.
     """
     params = params or ParameterSets.boot()
     cfg = _recorded_boot_config()
@@ -106,18 +101,17 @@ def record_bootstrap_trace(params: CkksParams = None, *,
         cfg["proxy_log2n"] = proxy_log2n
     if fuse is not None:
         cfg["fuse"] = fuse
-    if sine_degree is not None:
-        cfg["sine_degree"] = sine_degree
+    if sine_degree is None:
+        sine_degree = knob_default("boot.sine_degree")
     proxy = proxy_params_for(params, cfg["proxy_log2n"])
-    key = (chain_key(params), proxy.n, cfg["fuse"], cfg["sine_degree"],
-           seed)
+    key = (chain_key(params), proxy.n, cfg["fuse"], sine_degree, seed)
     cached = _trace_cache.get(key)
     if cached is not None:
         return cached
 
     ctx = CkksContext.create(proxy, seed=seed)
     boot = Bootstrapper(ctx, BootstrapConfig(
-        sine_degree=cfg["sine_degree"], fft_factored=True,
+        sine_degree=sine_degree, fft_factored=True,
         fuse=cfg["fuse"],
     ))
     rotations = boot.required_rotations()

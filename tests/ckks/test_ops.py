@@ -206,6 +206,26 @@ class TestScaleManagement:
         assert np.max(np.abs(decoded(ctx, keys, out) - 2 * vals)) < TOL
 
 
+class TestScalarConstants:
+    """``pmult_scalar``/``add_scalar`` broadcast a constant's residues
+    instead of transforming a mostly-zero polynomial."""
+
+    @pytest.mark.parametrize("value", [0, 1, -1, 12345, -(2**26) - 7,
+                                       2**32 + 5, -(2**40) + 3, 2**61 - 1])
+    def test_constant_eval_matches_ntt(self, ctx, value):
+        from repro.ckks.poly import RnsPoly
+
+        ev = ctx.evaluator
+        coeffs = np.zeros(ctx.params.n, dtype=np.int64)
+        coeffs[0] = value
+        for level in range(ctx.params.max_level + 1):
+            want = RnsPoly.from_signed(coeffs, ev.moduli_at(level)).to_eval()
+            got = ev._constant_eval(value, level)
+            assert got.domain == want.domain
+            assert got.moduli == want.moduli
+            assert np.array_equal(got.data, want.data)
+
+
 class TestDoublePrimeRescale:
     """The double-prime rescaling path [5] used for 32-bit words."""
 

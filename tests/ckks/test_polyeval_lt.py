@@ -83,6 +83,15 @@ class TestPowerEvaluation:
         got = ctx.decrypt_decode_real(out, keys)[:3]
         assert np.max(np.abs(got - (1 + 2 * x - x**3))) < 2e-3
 
+    def test_lands_exactly_on_delta(self, ctx, keys, pe):
+        """The leaf accumulator adds every term at one scale: no scale
+        matching, and the rescaled result sits on Delta exactly."""
+        x = np.array([0.5, -0.4, 0.25])
+        out = pe.eval_power(ctx.encrypt(x, keys), [0.5, 0.0, 1.0, 0.3], keys)
+        assert out.scale == pytest.approx(ctx.params.scale, rel=1e-12)
+        got = ctx.decrypt_decode_real(out, keys)[:3]
+        assert np.max(np.abs(got - (0.5 + x**2 + 0.3 * x**3))) < 2e-3
+
     def test_agrees_with_chebyshev_form(self, ctx, keys, pe):
         """p(x) = x^2 expressed in both bases gives the same result."""
         x = np.array([0.3, -0.6])

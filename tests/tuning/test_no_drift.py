@@ -66,7 +66,6 @@ def test_recorded_boot_config_is_registry_view():
     assert RECORDED_BOOT_CONFIG == {
         "proxy_log2n": knob_default("recorded.proxy_log2n"),
         "fuse": knob_default("recorded.fuse"),
-        "sine_degree": knob_default("recorded.sine_degree"),
     }
     with overriding_default("recorded.fuse", 2):
         assert _recorded_boot_config()["fuse"] == 2

@@ -52,8 +52,8 @@ class TestEncryptedMlp:
 
     def test_levels_accounting(self, ctx, network):
         _, mlp, _ = network
-        # 2 transforms + 1 deg-3 activation (3 levels): 2 + 3 = 5.
-        assert mlp.levels_needed() == 5
+        # 2 transforms + 1 deg-3 BSGS activation (2 levels): 2 + 2 = 4.
+        assert mlp.levels_needed() == 4
 
     def test_depth_consumed_matches(self, ctx, network):
         layers, mlp, keys = network
