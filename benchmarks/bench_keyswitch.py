@@ -100,7 +100,7 @@ def bench_hoisting_config(set_name, steps, reps, rng):
     )
 
     looped = lambda: hoisted_rotations_looped(ev, ct, steps, keys)
-    batched = lambda: hoisted_rotations(ev, ct, steps, keys)
+    batched = lambda: hoisted_rotations(ev, ct, steps, keys).ciphertexts()
     ref, got = looped(), batched()
     for s in steps:
         if ref[s].c0 != got[s].c0 or ref[s].c1 != got[s].c1:

@@ -83,6 +83,29 @@ def forge_dropped_rescale(trace: OpTrace) -> List[Finding]:
     raise ValueError("no divide whose removal breaks rescale placement")
 
 
+def forge_dropped_fused_rescale(trace: OpTrace) -> List[Finding]:
+    """Turn a fused ModDown·rescale into a plain ModDown by ``P`` (D-SCL).
+
+    The double-hoisted tail keeps every prime it was meant to drop and
+    divides by ``P`` only, while the recorded scale tag still claims the
+    rescaled scale — the checker must see that the divisor is gone.
+    """
+    base = _events(trace)
+    for i, victim in enumerate(base):
+        drop = victim.shape.get("drop", 0)
+        if victim.kind != "moddown" or not drop:
+            continue
+        shape = {k: v for k, v in victim.shape.items() if k != "drop"}
+        shape["main_primes"] = victim.shape["main_primes"] + drop
+        events = list(base)
+        events[i] = dataclasses.replace(victim, shape=shape)
+        mutated = dataclasses.replace(trace, events=tuple(events))
+        found = [f for f in check_semantics(mutated) if f.rule == "D-SCL"]
+        if found:
+            return found
+    raise ValueError("no fused ModDown·rescale whose removal trips D-SCL")
+
+
 def forge_over_budget_noise(trace: OpTrace) -> List[Finding]:
     """Append an unrescaled level-0 squaring chain (D-NSE)."""
     if trace.params is None:
@@ -121,6 +144,7 @@ MUTATIONS: Dict[str, tuple] = {
     "illegal_reorder": ("D-SCH", forge_illegal_reorder),
     "scale_mismatch_add": ("D-SCL", forge_scale_mismatch),
     "dropped_rescale": ("D-RES", forge_dropped_rescale),
+    "dropped_fused_rescale": ("D-SCL", forge_dropped_fused_rescale),
     "over_budget_noise": ("D-NSE", forge_over_budget_noise),
     "overcommitted_pool": ("D-HBM", forge_overcommitted_pool),
 }

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from ..fhelint.findings import Finding
 from ...ckks.noise import NoiseEstimator
 from ...trace.ir import OpTrace
-from .semantics import ScaleMap, divide_divisor
+from .semantics import ScaleMap, divide_divisor, rescale_drop
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,16 @@ class NoiseWalk:
             best = min(deps, key=lambda d: d.lo)
             return NoiseInterval(math.hypot(best.lo, self._ks),
                                  math.hypot(worst.hi, self._ks))
-        if e.kind == "divide":
+        if rescale_drop(e):
             div = divide_divisor(self.trace, e) or 1.0
             rounding = 0.5 * self.est.sqrt_n
             worst = max(deps, key=lambda d: d.hi)
             best = min(deps, key=lambda d: d.lo)
             return NoiseInterval(math.hypot(best.lo / div, rounding),
                                  math.hypot(worst.hi / div, rounding))
-        # Pass-through stages (ntt/intt/modup/moddown/modmul/automorphism/
-        # keyless inner products): the interval hull of the inputs.
+        # Pass-through stages (ntt/intt/modup/plain moddown/modmul/
+        # automorphism/keyless inner products): the interval hull of the
+        # inputs.
         return NoiseInterval(min(d.lo for d in deps),
                              max(d.hi for d in deps))
 

@@ -12,6 +12,12 @@ Conventions established by the recorder (:mod:`repro.ckks`):
   ``level - drop`` and has ``rows = level + 1 - drop`` residue rows per
   polynomial.  The divisor is the product of the dropped (topmost)
   primes of the input chain.
+* A ``moddown`` with ``drop = k`` is a *fused rescale* (double-hoisted
+  linear transforms): it divides by ``P`` and the ``k`` topmost primes
+  at once, so it obeys the ``divide`` conventions — input level,
+  ``main_primes = level + 1 - drop``, the same divisor — and clears a
+  pending tensor product like a ``divide``.  A plain ModDown (no
+  ``drop``) divides by ``P`` only, which leaves the scale unchanged.
 * The only legitimate level *raise* is bootstrap's ModRaise, recognised
   by the ``ModRaise``/``mod_raise`` span component.
 * Scale tags (:attr:`~repro.trace.ir.TraceEvent.scale`) appear on
@@ -66,14 +72,26 @@ def _allows_raise(event: TraceEvent) -> bool:
     return any(tag in event.op for tag in _RAISE_SPANS)
 
 
+def rescale_drop(event: TraceEvent) -> int:
+    """Primes a rescaling event divides out: a ``divide``'s ``drop``
+    (default 1), a fused ModDown·rescale's ``drop``; 0 for every other
+    event, a plain ModDown included."""
+    if event.kind == "divide":
+        return event.shape.get("drop", 1)
+    if event.kind == "moddown":
+        return event.shape.get("drop", 0)
+    return 0
+
+
 def divide_divisor(trace: OpTrace, event: TraceEvent) -> Optional[float]:
-    """The exact scale divisor of a ``divide`` event, from the trace's
-    parameter chain; ``None`` when parameters are unavailable."""
+    """The exact scale divisor of a rescaling event (``divide`` or fused
+    ``moddown``), from the trace's parameter chain; ``None`` when
+    parameters are unavailable."""
     params = trace.params
     if params is None or event.level is None:
         return None
     moduli = params.chain().moduli
-    drop = event.shape.get("drop", 1)
+    drop = rescale_drop(event)
     lo = event.level + 1 - drop
     if lo < 0 or event.level + 1 > len(moduli):
         return None
@@ -86,8 +104,9 @@ def divide_divisor(trace: OpTrace, event: TraceEvent) -> Optional[float]:
 class ScaleMap:
     """Abstract CKKS scale per event, propagated along data deps.
 
-    An event's scale is its own tag when present; a ``divide`` maps its
-    input scale through the exact divisor; untagged events inherit the
+    An event's scale is its own tag when present; a rescaling event
+    (``divide`` or fused ``moddown``) maps its input scale through the
+    exact divisor; untagged events inherit the
     unique known dependency scale (disagreeing or absent inputs yield
     *unknown*, which silences downstream checks rather than guessing).
     """
@@ -101,7 +120,7 @@ class ScaleMap:
     def _infer(self, e: TraceEvent) -> Optional[float]:
         dep_scales = [self.scales[d] for d in e.deps
                       if self.scales.get(d) is not None]
-        if e.kind == "divide":
+        if rescale_drop(e):
             div = divide_divisor(self.trace, e)
             if div is None or not dep_scales:
                 return None
@@ -149,13 +168,14 @@ def _check_levels(trace: OpTrace, out: List[Finding]) -> None:
                     f"keyed inner product over {primes} primes at level "
                     f"{e.level} (expected {expect} incl. "
                     f"{num_special} special)"))
-        elif e.kind == "divide":
-            rows = e.shape.get("rows")
-            drop = e.shape.get("drop", 1)
+        elif e.kind in ("divide", "moddown"):
+            field = "rows" if e.kind == "divide" else "main_primes"
+            rows = e.shape.get(field)
+            drop = rescale_drop(e)
             if rows is not None and rows != L1 - drop:
                 out.append(_finding(
                     "D-LVL", trace, e,
-                    f"divide produced {rows} rows at input level "
+                    f"{e.kind} produced {rows} {field} at input level "
                     f"{e.level} dropping {drop} (expected {L1 - drop})"))
         elif e.kind in ("modadd", "modmul", "tensor_product"):
             rows = e.shape.get("rows")
@@ -197,7 +217,9 @@ def _check_domains(trace: OpTrace, out: List[Finding]) -> None:
 
 def _check_scales(trace: OpTrace, scales: ScaleMap,
                   out: List[Finding]) -> None:
-    """D-SCL: scale agreement at tagged additions and exact divides."""
+    """D-SCL: scale agreement at tagged additions and at tagged
+    rescales (``divide``, fused ``moddown``; a plain ModDown must keep
+    its input scale)."""
     for e in trace.events:
         if e.kind == "modadd" and e.scale is not None:
             for d in e.deps:
@@ -209,7 +231,7 @@ def _check_scales(trace: OpTrace, scales: ScaleMap,
                         f"operand eid {d} scale 2^{math.log2(ds):.2f} != "
                         f"result scale 2^{math.log2(e.scale):.2f} at "
                         "addition"))
-        elif e.kind == "divide" and e.scale is not None:
+        elif e.kind in ("divide", "moddown") and e.scale is not None:
             div = divide_divisor(trace, e)
             dep_scales = [scales[d] for d in e.deps
                           if scales[d] is not None]
@@ -218,7 +240,7 @@ def _check_scales(trace: OpTrace, scales: ScaleMap,
                 if not math.isclose(expect, e.scale, rel_tol=SCALE_RTOL):
                     out.append(_finding(
                         "D-SCL", trace, e,
-                        f"divide tagged 2^{math.log2(e.scale):.2f} but "
+                        f"{e.kind} tagged 2^{math.log2(e.scale):.2f} but "
                         f"input/divisor give 2^{math.log2(expect):.2f}"))
 
 
@@ -226,7 +248,7 @@ def _check_rescale_placement(trace: OpTrace, out: List[Finding]) -> None:
     """D-RES: a tensor product must never consume an unrescaled tensor
     product — the squared scale would square again and exhaust the
     modulus.  Propagates a boolean *tensor-pending* flag that only a
-    ``divide`` (rescale) clears."""
+    rescale — a ``divide`` or a fused ``moddown`` — clears."""
     pending: Dict[int, bool] = {}
     for e in trace.events:
         dep_pending = any(pending.get(d, False) for d in e.deps)
@@ -237,7 +259,7 @@ def _check_rescale_placement(trace: OpTrace, out: List[Finding]) -> None:
                     "tensor product consumes a tensor-product result with "
                     "no rescale on the path"))
             pending[e.eid] = True
-        elif e.kind == "divide":
+        elif rescale_drop(e):
             pending[e.eid] = False
         else:
             pending[e.eid] = dep_pending

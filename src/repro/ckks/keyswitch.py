@@ -120,7 +120,7 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
             d_coeff, groups, get_rns_basis(level_moduli), target_basis,
             lazy=True,
         )
-        _temit("modup", source_primes=max(len(g) for g in groups),
+        _temit("modup", source_primes=sum(len(g) for g in groups),
                target_primes=num_target, polys=num_digits,
                reads=(d_coeff,), writes=(ext,))
         if pool is not None:

@@ -16,22 +16,26 @@ The baby rotations are computed with Halevi-Shoup hoisting
 (:mod:`repro.ckks.hoisting`), so the dominant ModUp cost is paid once.
 
 Application is a **plan/compile** pipeline: :meth:`LinearTransform.compile`
-extracts the non-zero (shifted) diagonals once, encodes them per level
-into a cached **eval-form diagonal stack** — a read-only
-``(num_primes, num_diags, N)`` NTT-domain tensor built with one batched
-embedding (:meth:`~repro.ckks.encoding.Encoder.encode_many`) and one
-stacked NTT — and :meth:`apply` then runs every baby-step PMULT +
-accumulation of a giant group as a single wide-accumulator pass
-(:func:`~repro.ckks.ks_common.wide_dot`) over that stack.  Giant groups
-whose shifted diagonals are all structurally zero are pruned at plan
-time (lossless — they contribute nothing to the sum).
+extracts the non-zero (shifted) diagonals once and encodes them per level
+into a cached **eval-form diagonal stack** over the level's primes *and*
+the special primes — a read-only ``(L+K, num_diags, N)`` NTT-domain
+tensor built with one batched embedding and one stacked NTT
+(:func:`~repro.ckks.hoisting.encode_extended_stack`).  :meth:`apply` is
+**double hoisting**: one hoisted ModUp for all baby steps, and per giant
+group one :meth:`~repro.ckks.hoisting.HoistedRotations.weighted_sum` —
+the baby-step PMULTs and additions accumulate over ``Q ∪ P`` in one
+wide-accumulator pass, and a single ModDown by ``P·q_l`` is both the
+key-switch ModDown and the rescale.  The diagonal method is the single
+group with giant rotation 0.  Giant groups whose shifted diagonals are
+all structurally zero are pruned at plan time (lossless — they
+contribute nothing to the sum).
 
-:meth:`apply_looped` preserves the per-diagonal pipeline as the
-bit-exactness oracle; it shares the compiled plaintext stack (so repeated
-applies never re-encode — the historical behaviour re-encoded every
-diagonal on *every* call) and accumulates with
-:meth:`~repro.ckks.poly.RnsPoly.fma_`, both of which are bit-identical
-substitutions.  ``apply`` == ``apply_looped`` bit-exactly.
+:meth:`apply_looped` is the per-step oracle of the same algorithm: each
+rotation's ``Q ∪ P`` terms built digit by digit
+(:func:`~repro.ckks.hoisting.hoisted_terms_looped`), one
+:meth:`~repro.ckks.poly.RnsPoly.fma_` per diagonal, one polynomial-at-a-
+time ModDown·rescale per group.  ``apply`` == ``apply_looped``
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -41,16 +45,17 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis.annotations import frozen, returns_view
-from ..trace.recorder import emit as _temit, span as _tspan
-from ..ntt.stacked import get_shoup_stack, stacked_negacyclic_ntt
-from .ciphertext import Ciphertext, Plaintext
+from ..analysis.annotations import frozen
+from ..trace.recorder import span as _tspan
+from .ciphertext import Ciphertext
 from .context import CkksContext
-from .hoisting import hoisted_rotations
+from .hoisting import (
+    encode_extended_stack,
+    hoisted_rotations,
+    hoisted_terms_looped,
+    weighted_sum_looped,
+)
 from .keys import KeySet
-from .poly import EVAL, RnsPoly
-from .ks_common import wide_dot
-from .rns_context import get_rns_context
 
 #: Magnitude below which a diagonal is treated as structurally zero.
 _DIAG_EPSILON = 1e-12
@@ -60,21 +65,19 @@ _DIAG_EPSILON = 1e-12
 class _LevelPlan:
     """One compiled level of a transform: the eval-form diagonal stack.
 
-    ``stack`` is the ``(num_primes, num_diags, N)`` uint64 NTT-domain
-    plaintext tensor (read-only; conceptually ``num_diags`` residue
-    matrices side by side).  ``groups`` lists, per giant step, the
-    rotation to apply after the inner sum, the positions of its baby
-    rotations inside ``babies``, and its slice of the stack.
+    ``stack`` is the ``(L+K, num_diags, N)`` uint64 NTT-domain plaintext
+    tensor over the level's primes plus the special primes (read-only;
+    conceptually ``num_diags`` residue matrices side by side).
+    ``groups`` lists, per giant step, the rotation to apply after the
+    inner sum, the group's baby steps, and its slice of the stack.
     """
 
-    __slots__ = ("level", "moduli", "pt_scale", "babies", "groups", "stack")
+    __slots__ = ("level", "pt_scale", "babies", "groups", "stack")
 
-    def __init__(self, level: int, moduli: Tuple[int, ...], pt_scale: float,
-                 babies: List[int],
-                 groups: List[Tuple[int, np.ndarray, np.ndarray]],
+    def __init__(self, level: int, pt_scale: float, babies: List[int],
+                 groups: List[Tuple[int, List[int], np.ndarray]],
                  stack: np.ndarray):
         self.level = level
-        self.moduli = moduli
         self.pt_scale = pt_scale
         self.babies = babies
         self.groups = groups
@@ -164,130 +167,69 @@ class LinearTransform:
 
     def compile(self, level: int) -> _LevelPlan:
         """Encode every (shifted) diagonal at ``level`` into the cached
-        eval-form stack; idempotent per level."""
+        eval-form stack over ``Q ∪ P``; idempotent per level."""
         plan = self._plans.get(level)
         if plan is not None:
             return plan
-        moduli = self.ctx.evaluator.moduli_at(level)
-        n = self.ctx.params.n
         scale = self.ctx.params.scale
-
         babies = sorted({b for grp in self._groups.values() for b in grp})
-        baby_pos = {b: i for i, b in enumerate(babies)}
-        ordered: List[Tuple[int, List[int], List[np.ndarray]]] = []
-        for g_rot in sorted(self._groups):
-            grp = self._groups[g_rot]
-            bs = sorted(grp)
-            ordered.append((g_rot, bs, [grp[b] for b in bs]))
+        ordered = [(g_rot, sorted(self._groups[g_rot]))
+                   for g_rot in sorted(self._groups)]
+        stack = encode_extended_stack(
+            self.ctx,
+            np.stack([self._groups[g_rot][b]
+                      for g_rot, bs in ordered for b in bs]),
+            level, scale,
+        )  # (L+K, D, N), canonical, read-only
 
-        # One batched embedding + one stacked NTT for the whole transform.
-        values = np.stack([v for _, _, vals in ordered for v in vals])
-        coeffs = self.ctx.encoder.encode_many(values, scale)  # (D, n)
-        q_col = np.array(moduli, dtype=np.int64)[:, None, None]
-        residues = np.mod(coeffs[None, :, :], q_col).astype(np.uint64)
-        stack = stacked_negacyclic_ntt(
-            residues, get_shoup_stack(tuple(moduli), n)
-        )  # (P, D, N), canonical
-        stack.setflags(write=False)
-
-        groups: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        groups: List[Tuple[int, List[int], np.ndarray]] = []
         offset = 0
-        for g_rot, bs, _ in ordered:
-            idx = np.array([baby_pos[b] for b in bs], dtype=np.intp)
-            groups.append(
-                (g_rot, idx, stack[:, offset:offset + len(bs), :])
-            )
+        for g_rot, bs in ordered:
+            groups.append((g_rot, bs, stack[:, offset:offset + len(bs)]))
             offset += len(bs)
 
-        plan = _LevelPlan(level, tuple(moduli), scale, babies, groups, stack)
+        plan = _LevelPlan(level, scale, babies, groups, stack)
         self._plans[level] = plan
         return plan
-
-    @returns_view
-    def _plain_slice(self, plan: _LevelPlan, group: int,
-                     member: int) -> Plaintext:
-        """The memoized plaintext of one diagonal (a read-only view into
-        the compiled stack) — the fallback path re-encodes nothing."""
-        _, _, sub = plan.groups[group]
-        return Plaintext(
-            poly=RnsPoly(sub[:, member, :], plan.moduli, EVAL),
-            scale=plan.pt_scale, level=plan.level,
-        )
 
     # -- application ------------------------------------------------------------------
 
     def apply(self, ct: Ciphertext, keys: KeySet) -> Ciphertext:
         """Return a ciphertext whose slots are ``matrix @ slots(ct)``.
 
-        Batched: all baby-step PMULTs and accumulations of a giant group
-        run as one :func:`wide_dot` pass over the cached eval-form stack.
+        One hoisted ModUp for every baby step; per giant group one fused
+        weighted sum (PMULTs and additions over ``Q ∪ P``, then a single
+        ModDown·rescale), followed by the group's giant rotation.
         Bit-identical to :meth:`apply_looped`.
         """
         plan = self.compile(ct.level)
         ev = self.ctx.evaluator
         with _tspan("linear_transform", level=ct.level):
-            rotated = hoisted_rotations(ev, ct, plan.babies, keys)
-            # The rotated components as (P, B, N) stacks; ciphertext data
-            # is canonical, i.e. valid lazy wide_dot input.
-            rot0 = np.stack(
-                [rotated[b].c0.data for b in plan.babies], axis=1
-            )
-            rot1 = np.stack(
-                [rotated[b].c1.data for b in plan.babies], axis=1
-            )
-            reducer = get_rns_context(plan.moduli, ct.n).barrett
-            rot_cts = tuple(rotated[b] for b in plan.babies)
-
+            hoisted = hoisted_rotations(ev, ct, plan.babies, keys)
             acc = None
-            for g_rot, idx, stack in plan.groups:
-                inner = Ciphertext(
-                    RnsPoly(wide_dot(rot0[:, idx], stack, reducer),
-                            plan.moduli, EVAL),
-                    RnsPoly(wide_dot(rot1[:, idx], stack, reducer),
-                            plan.moduli, EVAL),
-                    ct.level, ct.scale * plan.pt_scale,
-                )
-                # One wide-accumulator pass per giant group: the group's
-                # baby-step PMULTs and additions fused over the diagonal
-                # stack, for both ciphertext components.
-                _temit("inner_product", primes=ct.level + 1,
-                       digits=len(idx), accumulators=2, reads=rot_cts,
-                       writes=(inner,), scale=inner.scale)
-                if self.bsgs:
-                    inner = ev.rescale(inner)
-                    if g_rot:
-                        inner = ev.hrotate(inner, g_rot, keys)
+            for g_rot, steps, stack in plan.groups:
+                inner = hoisted.weighted_sum(steps, stack, plan.pt_scale)
+                if g_rot:
+                    inner = ev.hrotate(inner, g_rot, keys)
                 acc = inner if acc is None else ev.hadd_matched(acc, inner)
-            return acc if self.bsgs else ev.rescale(acc)
+            return acc
 
     def apply_looped(self, ct: Ciphertext, keys: KeySet) -> Ciphertext:
-        """The per-diagonal reference pipeline (bit-exactness oracle).
+        """The per-step oracle of :meth:`apply`.
 
-        One PMULT/FMA per diagonal, like the historical implementation,
-        but reading the memoized plaintext stack instead of re-encoding
-        every diagonal on every call.
+        Each baby rotation's ``Q ∪ P`` terms come from the per-digit
+        reference; each diagonal is one in-place multiply-accumulate
+        against the compiled stack; each group lowers one polynomial at a
+        time by ``P·q_l``.
         """
         plan = self.compile(ct.level)
         ev = self.ctx.evaluator
-        rotated = hoisted_rotations(ev, ct, plan.babies, keys)
-
+        terms = hoisted_terms_looped(ev, ct, plan.babies, keys)
         acc = None
-        for g_idx, (g_rot, _, _) in enumerate(plan.groups):
-            bs = sorted(self._groups[g_rot])
-            inner = None
-            for m_idx, b in enumerate(bs):
-                pt = self._plain_slice(plan, g_idx, m_idx)
-                if inner is None:
-                    inner = ev.pmult(rotated[b], pt)
-                else:
-                    # In-place fused multiply-accumulate: one reduction
-                    # pass per diagonal instead of mul + add.
-                    m = pt.poly.to_eval()
-                    inner.c0.fma_(rotated[b].c0, m)
-                    inner.c1.fma_(rotated[b].c1, m)
-            if self.bsgs:
-                inner = ev.rescale(inner)
-                if g_rot:
-                    inner = ev.hrotate(inner, g_rot, keys)
+        for g_rot, steps, stack in plan.groups:
+            inner = weighted_sum_looped(ev, ct, terms, steps, stack,
+                                        plan.pt_scale)
+            if g_rot:
+                inner = ev.hrotate(inner, g_rot, keys)
             acc = inner if acc is None else ev.hadd_matched(acc, inner)
-        return acc if self.bsgs else ev.rescale(acc)
+        return acc

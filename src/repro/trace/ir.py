@@ -31,8 +31,10 @@ from ..analysis.annotations import frozen
 EVENT_KINDS = (
     "ntt",            # forward NTT over `rows` residue rows
     "intt",           # inverse NTT over `rows` residue rows
-    "modup",          # basis extension: source_primes -> target_primes, polys
-    "moddown",        # ModDown: main_primes/special_primes, polys
+    "modup",          # basis extension of `polys` digits: source_primes (summed
+                      # over the digits) -> target_primes each
+    "moddown",        # ModDown: main_primes/special_primes, polys[, drop: the
+                      # top `drop` main primes divided out too (fused rescale)]
     "inner_product",  # keyswitch/wide-dot accumulation: primes, digits[, steps]
     "automorphism",   # gather with sign flips: primes, polys
     "modadd",         # element-wise modular add over `rows` rows

@@ -383,9 +383,12 @@ class _Lowerer:
                 polys = _distribute(shape.get("polys", 1), split)[i]
                 if polys <= 0:
                     continue
+                # ``source_primes`` sums the digits' widths, so a short
+                # last digit is priced at its own width.
                 specs.append(K.modup_kernel(
-                    part, n, shape["source_primes"], shape["target_primes"],
-                    polys=polys * b, geometry=geo, stage="ModUp",
+                    part, n, shape["source_primes"] / shape.get("polys", 1),
+                    shape["target_primes"], polys=polys * b, geometry=geo,
+                    stage="ModUp",
                 ))
             elif kind == "moddown":
                 polys = _distribute(shape.get("polys", 1), split)[i]

@@ -38,6 +38,9 @@ from .resnet import (
 )
 from .statistics import EncryptedStatistics
 from .schedules import (
+    HOISTED,
+    TRANSFORM,
+    Discount,
     ScheduleItem,
     WorkloadSchedule,
     WorkloadTiming,
@@ -57,6 +60,9 @@ from .recorded import (
 )
 
 __all__ = [
+    "HOISTED",
+    "TRANSFORM",
+    "Discount",
     "EncryptedConv2d",
     "EncryptedLogisticRegression",
     "ScheduleItem",

@@ -18,12 +18,13 @@ The client-side AES itself is the real implementation in
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from ..ckks.params import CkksParams, ParameterSets
 from ..core.scheduler import OperationScheduler
 from .bootstrap_workload import bootstrap_schedule
-from .schedules import WorkloadSchedule, WorkloadTiming
+from .schedules import HOISTED, WorkloadSchedule, WorkloadTiming
 
 #: Table XV workload: 2^15 blocks of 128 bits = 512 KB.
 BLOCKS = 2**15
@@ -62,7 +63,7 @@ def transcipher_schedule(params: CkksParams = None) -> WorkloadSchedule:
                   note=f"round{rnd}.subbytes.coeff")
         # ShiftRows+MixColumns: slot permutations and linear combinations.
         sched.add("hrotate", lvl - 2, 4, note=f"round{rnd}.mix")
-        sched.add("hrotate", lvl - 2, 12, hoisted=True,
+        sched.add("hrotate", lvl - 2, 12, discount=HOISTED,
                   note=f"round{rnd}.mix")
         sched.add("pmult", lvl - 2, _STATE_SLICES,
                   note=f"round{rnd}.mix.masks")
@@ -71,9 +72,9 @@ def transcipher_schedule(params: CkksParams = None) -> WorkloadSchedule:
         # Bootstraps to refresh the slice pipelines.
         boot = bootstrap_schedule(params)
         for item in boot.items:
-            sched.add(item.op, item.level, item.count * _BOOTS_PER_ROUND,
-                      hoisted=item.hoisted,
-                      note=f"round{rnd}.boot.{item.note or item.op}")
+            sched.items.append(dataclasses.replace(
+                item, count=item.count * _BOOTS_PER_ROUND,
+                note=f"round{rnd}.boot.{item.note or item.op}"))
     # Final keystream subtraction from the encoded symmetric ciphertexts.
     sched.add("hadd", 4, _STATE_SLICES, note="keystream.subtract")
     return sched

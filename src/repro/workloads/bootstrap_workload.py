@@ -18,7 +18,12 @@ from ..ckks.params import CkksParams, ParameterSets
 from ..ckks.polyeval import chebyshev_plan
 from ..core.scheduler import OperationScheduler
 from ..tuning.knobs import knob_default
-from .schedules import WorkloadSchedule, WorkloadTiming
+from .schedules import (
+    TRANSFORM,
+    Discount,
+    WorkloadSchedule,
+    WorkloadTiming,
+)
 
 
 def linear_transform_schedule(name: str, slots: int, level: int, *,
@@ -29,17 +34,29 @@ def linear_transform_schedule(name: str, slots: int, level: int, *,
     """BSGS radix-decomposed homomorphic DFT (CoeffToSlot / SlotToCoeff).
 
     The s-point transform splits into ``stages`` radix-``s^(1/stages)``
-    stages; each stage is a BSGS matrix-vector product with
-    ``2*sqrt(radix)`` rotation groups (baby steps hoisted) and ``radix``
-    plaintext multiplications, consuming one level.
+    stages; each stage is a double-hoisted BSGS matrix-vector product
+    consuming one level, shaped like
+    :meth:`~repro.ckks.linear_transform.LinearTransform.apply` runs it:
+    ``baby - 1`` rotations share one ModUp, each of the ``giant`` groups
+    ends in its own fused ModDown·rescale, and ``giant - 1`` groups then
+    pay a full HROTATE for their giant step.
+
+    The stage is priced as one full rotation plus ``baby + giant - 2``
+    items at the factor that
+    :func:`~repro.workloads.recorded.derived_hoisted_rotation_factor`
+    solves from a traced ``apply`` of that very shape — its PMULTs, fused
+    tails and giant rotations included. There is no rescale item; plain
+    PMULTs cover only the ``radix - baby*giant`` diagonals the shape
+    leaves out.
 
     ``fft_factored`` prices the sparse radix-2 factorization instead
     (:func:`repro.ckks.bootstrap.special_fft_factors`): ``log2(s)/fuse``
-    stages of at most ``3**fuse`` diagonals each — the functional path's
-    cost model.  ``None`` defaults resolve from the ``boot.*`` knob
-    registry — the *same* source ``BootstrapConfig`` reads, so this
-    schedule and the functional bootstrap cannot disagree about what the
-    default pipeline looks like.
+    diagonal-method stages of at most ``3**fuse`` diagonals each — the
+    functional path's cost model, priced at the factor of a traced
+    diagonal-method ``apply``.  ``None`` defaults resolve from the
+    ``boot.*`` knob registry — the *same* source ``BootstrapConfig``
+    reads, so this schedule and the functional bootstrap cannot disagree
+    about what the default pipeline looks like.
     """
     if fft_factored is None:
         fft_factored = knob_default("boot.fft_factored")
@@ -55,30 +72,21 @@ def linear_transform_schedule(name: str, slots: int, level: int, *,
             lvl = max(1, level - stage)
             k = min(fuse, m - stage * fuse)
             diags = min(3 ** k, slots)
-            # One full rotation pays the ModUp; the remaining diagonal
-            # rotations share it.
             sched.add("hrotate", lvl, 1, note=f"{name}.stage{stage}.rot")
-            sched.add("hrotate", lvl, diags - 1, hoisted=True,
+            sched.add("hrotate", lvl, diags - 1, discount=TRANSFORM,
                       note=f"{name}.stage{stage}.rot")
-            sched.add("pmult", lvl, diags,
-                      note=f"{name}.stage{stage}.pmult")
-            sched.add("rescale", lvl, 1,
-                      note=f"{name}.stage{stage}.rescale")
         return sched
     radix = max(2, round(slots ** (1.0 / stages)))
     baby = max(1, int(math.isqrt(radix)))
     giant = max(1, radix // baby)
+    shape = Discount(transform=True, steps=baby, giant=giant)
     for stage in range(stages):
         lvl = max(1, level - stage)
-        # Baby-step rotations: one full, the rest hoisted on the shared
-        # ModUp; giant-step rotations likewise.
         sched.add("hrotate", lvl, 1, note=f"{name}.stage{stage}.rot")
-        sched.add("hrotate", lvl, baby - 1, hoisted=True,
+        sched.add("hrotate", lvl, baby + giant - 2, discount=shape,
                   note=f"{name}.stage{stage}.rot")
-        sched.add("hrotate", lvl, giant - 1, hoisted=True,
-                  note=f"{name}.stage{stage}.rot")
-        sched.add("pmult", lvl, radix, note=f"{name}.stage{stage}.pmult")
-        sched.add("rescale", lvl, 1, note=f"{name}.stage{stage}.rescale")
+        sched.add("pmult", lvl, radix - baby * giant,
+                  note=f"{name}.stage{stage}.pmult")
     return sched
 
 

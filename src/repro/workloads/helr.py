@@ -14,6 +14,7 @@ Two layers, as everywhere in this reproduction:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import List
 
@@ -23,7 +24,7 @@ from ..ckks import CkksContext, ParameterSets
 from ..ckks.params import CkksParams
 from ..core.scheduler import OperationScheduler
 from .bootstrap_workload import bootstrap_schedule
-from .schedules import WorkloadSchedule, WorkloadTiming
+from .schedules import HOISTED, WorkloadSchedule, WorkloadTiming
 
 #: Degree-3 least-squares fit of the sigmoid on [-8, 8] from [25].
 SIGMOID3_COEFFS = (0.5, 0.15012, 0.0, -0.0015930)
@@ -46,7 +47,7 @@ def helr_iteration_schedule(params: CkksParams = None, *,
     for phase, lvl in (("forward", top), ("gradient", top - 3)):
         # BSGS matrix-vector product: one full rotation then hoisted ones.
         sched.add("hrotate", lvl, 1, note=f"{phase}.rot")
-        sched.add("hrotate", lvl, 2 * rot_groups - 1, hoisted=True,
+        sched.add("hrotate", lvl, 2 * rot_groups - 1, discount=HOISTED,
                   note=f"{phase}.rot")
         sched.add("pmult", lvl, rot_groups, note=f"{phase}.pmult")
         sched.add("hadd", lvl, rot_groups, note=f"{phase}.add")
@@ -61,8 +62,9 @@ def helr_iteration_schedule(params: CkksParams = None, *,
     # Amortized bootstrapping.
     boot = bootstrap_schedule(params, fft_factored=fft_factored, fuse=fuse)
     for item in boot.items:
-        sched.add(item.op, item.level, item.count / boot_period,
-                  hoisted=item.hoisted, note=f"boot.{item.note or item.op}")
+        sched.items.append(dataclasses.replace(
+            item, count=item.count / boot_period,
+            note=f"boot.{item.note or item.op}"))
     return sched
 
 

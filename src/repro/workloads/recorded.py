@@ -28,6 +28,7 @@ baby-step/giant-step plan
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Tuple
 
 import numpy as np
@@ -408,39 +409,80 @@ def simulate_recorded_resnet20(params: CkksParams = None, *,
 def derived_hoisted_rotation_factor(scheduler: OperationScheduler, *,
                                     steps: int = 8,
                                     proxy_log2n: int = 8,
-                                    seed: int = 0) -> float:
+                                    seed: int = 0,
+                                    transform: bool = False,
+                                    giant: int = 1) -> float:
     """Per-extra-rotation cost of a hoisted group, derived from a trace.
 
     Records one functional ``hoisted_rotations`` call over ``steps``
-    rotation steps and one plain HROTATE at proxy scale, lowers both at
-    the scheduler's parameters, and solves
+    rotation steps (finished per step by
+    :meth:`~repro.ckks.hoisting.HoistedRotations.ciphertexts`) and one
+    plain HROTATE at proxy scale, lowers both at the scheduler's
+    parameters, and solves
 
         ``C_hoisted(S) = C_hrotate * (1 + factor * (S - 1))``
 
     for ``factor``, the discount :meth:`WorkloadSchedule.price` applies to
-    every hoisted item. Cached per (chain, device, variant); raises
-    ``ValueError`` on a degenerate trace or a factor outside (0, 1).
+    every hoisted item.
+
+    ``transform=True`` records a double-hoisted linear-transform stage
+    instead: a :meth:`LinearTransform.apply` with ``giant`` groups of
+    ``steps`` diagonals each (diagonals ``g*B + b`` for ``b < steps``,
+    ``g < giant``, ``B`` the transform's baby step), i.e. ``steps - 1``
+    baby rotations sharing one ModUp and ``giant - 1`` giant rotations.
+    ``C_hoisted`` is then that whole stage over its ``steps + giant - 1``
+    distinct rotations, so one full rotation plus ``steps + giant - 2``
+    items at the factor is the stage — its PMULTs, its fused
+    ModDown·rescale per group and its giant HROTATEs included.
+    ``giant == 1`` is the diagonal method.
+
+    Cached per (chain, device, variant, stage shape); raises
+    ``ValueError`` on a degenerate trace, a shape the proxy ring cannot
+    hold, or a factor that is not positive — or not below 1 for a stage
+    whose every rotation shares the ModUp (``giant == 1``).
     """
     params = scheduler.params
     key = (chain_key(params), params.n, scheduler.device.name,
-           scheduler.ntt.variant, steps, proxy_log2n, seed)
+           scheduler.ntt.variant, steps, proxy_log2n, seed, transform,
+           giant)
     cached = _factor_cache.get(key)
     if cached is not None:
         return cached
 
     from ..ckks.hoisting import hoisted_rotations
+    from ..ckks.linear_transform import LinearTransform
 
     proxy = proxy_params_for(params, proxy_log2n)
     ctx = CkksContext.create(proxy, seed=seed)
-    rotations = [s + 1 for s in range(steps)]
-    keys = ctx.keygen(rotations=rotations)
+    if transform:
+        baby = max(1, math.isqrt(ctx.slots))
+        if steps > baby or giant * baby > ctx.slots or giant < 1:
+            raise ValueError(
+                f"a {giant}x{steps} transform stage does not fit "
+                f"{ctx.slots} proxy slots"
+            )
+        j = np.arange(ctx.slots)
+        band = np.zeros((ctx.slots, ctx.slots))
+        for g in range(giant):
+            for b in range(steps):
+                band[j, (j + g * baby + b) % ctx.slots] = 1.0
+        lt = LinearTransform(ctx, band, bsgs=giant > 1)
+        rotations = lt.required_rotations()
+        extra = steps + giant - 2
+    else:
+        rotations = [s + 1 for s in range(steps)]
+        extra = steps - 1
+    keys = ctx.keygen(rotations=sorted(set(rotations) | {1}))
     vals = np.zeros(ctx.slots)
     vals[:2] = [0.5, -0.25]
     ct = ctx.encrypt(vals, keys)
     ev = ctx.evaluator
 
     with record("hoisted", params=proxy, n=proxy.n) as rec:
-        hoisted_rotations(ev, ct, rotations, keys)
+        if transform:
+            lt.apply(ct, keys)
+        else:
+            hoisted_rotations(ev, ct, rotations, keys).ciphertexts()
     hoisted_trace = rec.trace
     with record("hrotate", params=proxy, n=proxy.n) as rec:
         ev.hrotate(ct, 1, keys)
@@ -450,12 +492,13 @@ def derived_hoisted_rotation_factor(scheduler: OperationScheduler, *,
         scheduler.device).elapsed_us
     cost_single = _lower_for(single_trace, scheduler).run(
         scheduler.device).elapsed_us
-    if cost_single <= 0 or steps < 2:
+    if cost_single <= 0 or extra < 1:
         raise ValueError("degenerate hoisting trace")
-    factor = (cost_hoisted - cost_single) / ((steps - 1) * cost_single)
-    if not 0.0 < factor < 1.0:
+    factor = (cost_hoisted - cost_single) / (extra * cost_single)
+    if factor <= 0.0 or (giant == 1 and factor >= 1.0):
         raise ValueError(
-            f"derived hoisting factor {factor:.3f} outside (0, 1)"
+            f"derived hoisting factor {factor:.3f} outside "
+            f"{'(0, 1)' if giant == 1 else '(0, inf)'}"
         )
     _factor_cache[key] = factor
     return factor

@@ -13,22 +13,18 @@ size, validated against a numpy reference in tests.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import List, Tuple
 
 import numpy as np
 
 from ..ckks import CkksContext, ParameterSets
-from ..ckks.ciphertext import Ciphertext
-from ..ckks.hoisting import hoisted_rotations
-from ..ckks.ks_common import wide_dot
+from ..ckks.hoisting import encode_extended_stack, hoisted_rotations
 from ..ckks.params import CkksParams
-from ..ckks.poly import EVAL, RnsPoly
-from ..ckks.rns_context import get_rns_context
 from ..core.scheduler import OperationScheduler
-from ..ntt.stacked import get_shoup_stack, stacked_negacyclic_ntt
 from .bootstrap_workload import bootstrap_schedule
-from .schedules import WorkloadSchedule, WorkloadTiming
+from .schedules import HOISTED, WorkloadSchedule, WorkloadTiming
 
 #: ResNet-20 structure: (blocks, channels) per stage on 32x32 CIFAR.
 RESNET20_STAGES: Tuple[Tuple[int, int], ...] = ((3, 16), (3, 32), (3, 64))
@@ -69,7 +65,7 @@ def resnet20_schedule(params: CkksParams = None, *,
         positions = 9 * _CONV_MULTIPLEX
         ch_rot = int(math.log2(channels))
         sched.add("hrotate", lvl, 1, note=f"{name}.rot")
-        sched.add("hrotate", lvl, positions - 1 + ch_rot, hoisted=True,
+        sched.add("hrotate", lvl, positions - 1 + ch_rot, discount=HOISTED,
                   note=f"{name}.rot")
         sched.add("pmult", lvl, positions, note=f"{name}.pmult")
         sched.add("hadd", lvl, positions + ch_rot, note=f"{name}.add")
@@ -89,9 +85,9 @@ def resnet20_schedule(params: CkksParams = None, *,
                     params, fft_factored=fft_factored, fuse=fuse
                 )
                 for item in boot.items:
-                    sched.add(item.op, item.level, item.count * 2,
-                              hoisted=item.hoisted,
-                              note=f"boot{boots}.{item.note or item.op}")
+                    sched.items.append(dataclasses.replace(
+                        item, count=item.count * 2,
+                        note=f"boot{boots}.{item.note or item.op}"))
                 boots += 1
                 level = top - 4
             conv(f"{name}.conv1", channels, level)
@@ -103,7 +99,8 @@ def resnet20_schedule(params: CkksParams = None, *,
                       note=f"{name}.relu2")
             level -= _LEVELS_PER_BLOCK
     # Global average pool + fully connected layer.
-    sched.add("hrotate", max(1, level), 5, hoisted=True, note="pool.rot")
+    sched.add("hrotate", max(1, level), 5, discount=HOISTED,
+              note="pool.rot")
     sched.add("pmult", max(1, level), 2, note="fc.pmult")
     sched.add("hadd", max(1, level), 2, note="fc.add")
     return sched
@@ -128,11 +125,11 @@ class EncryptedConv2d:
     tests; an optional square activation demonstrates conv + nonlinearity
     under encryption.
 
-    :meth:`forward` is batched like the linear transforms: the weighted
-    boundary masks are compiled once per (image shape, level) into a
-    cached eval-form plaintext stack, the kernel-position rotations share
-    one hoisted ModUp, and the mask multiplies + accumulation run as one
-    wide-accumulator pass.
+    :meth:`forward` is double-hoisted like the linear transforms: the
+    weighted boundary masks are compiled once per (image shape, level)
+    into a cached eval-form plaintext stack over ``Q ∪ P``, the
+    kernel-position rotations share one hoisted ModUp, and the mask
+    multiplies + accumulation end in one fused ModDown·rescale.
     """
 
     def __init__(self, ctx: CkksContext, keys, kernel: np.ndarray):
@@ -179,20 +176,11 @@ class EncryptedConv2d:
                 else:
                     by_step[step] = mask
         steps = sorted(by_step)
-        ev = self.ctx.evaluator
-        moduli = tuple(ev.moduli_at(level))
         scale = self.ctx.params.scale
-        n = self.ctx.params.n
-        coeffs = self.ctx.encoder.encode_many(
-            np.stack([by_step[s] for s in steps]), scale
+        stack = encode_extended_stack(
+            self.ctx, np.stack([by_step[s] for s in steps]), level, scale
         )
-        q_col = np.array(moduli, dtype=np.int64)[:, None, None]
-        residues = np.mod(coeffs[None, :, :], q_col).astype(np.uint64)
-        stack = stacked_negacyclic_ntt(
-            residues, get_shoup_stack(moduli, n)
-        )
-        stack.setflags(write=False)
-        plan = (steps, moduli, scale, stack)
+        plan = (steps, scale, stack)
         self._mask_plans[key] = plan
         return plan
 
@@ -200,23 +188,16 @@ class EncryptedConv2d:
                 square_activation: bool = False):
         """Convolve the encrypted image (zero boundary conditions).
 
-        Batched: one hoisted-rotation pass over the kernel positions, one
-        wide-accumulator reduction against the cached mask stack.
+        Batched: one hoisted-rotation pass over the kernel positions and
+        one fused weighted sum against the cached mask stack — the mask
+        PMULTs accumulate over ``Q ∪ P`` and a single ModDown·rescale
+        finishes the layer.
         """
-        steps, moduli, pt_scale, stack = self._compile_masks(
-            height, width, ct.level
-        )
+        steps, pt_scale, stack = self._compile_masks(height, width, ct.level)
         ev = self.ctx.evaluator
-        rotated = hoisted_rotations(ev, ct, steps, self.keys)
-        rot0 = np.stack([rotated[s].c0.data for s in steps], axis=1)
-        rot1 = np.stack([rotated[s].c1.data for s in steps], axis=1)
-        reducer = get_rns_context(moduli, ct.n).barrett
-        acc = Ciphertext(
-            RnsPoly(wide_dot(rot0, stack, reducer), moduli, EVAL),
-            RnsPoly(wide_dot(rot1, stack, reducer), moduli, EVAL),
-            ct.level, ct.scale * pt_scale,
+        out = hoisted_rotations(ev, ct, steps, self.keys).weighted_sum(
+            steps, stack, pt_scale
         )
-        out = ev.rescale(acc)
         if square_activation:
             out = ev.hmult(out, out, self.keys)
         return out

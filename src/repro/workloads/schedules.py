@@ -11,21 +11,46 @@ optimization every system in Table XIV uses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional
 
 from ..core.scheduler import OperationScheduler
 
 
+@dataclass(frozen=True)
+class Discount:
+    """The traced stage whose derived factor prices a rotation item.
+
+    The fields are the arguments of
+    :func:`~repro.workloads.recorded.derived_hoisted_rotation_factor`:
+    ``transform=False`` is one hoisted-rotation group of ``steps``
+    rotations, each finished by its own ModDown; ``transform=True`` is a
+    double-hoisted linear-transform stage of ``giant`` groups with
+    ``steps`` diagonals each (``giant == 1``: the diagonal method), whose
+    factor carries the stage's PMULTs, fused ModDown·rescale tails and
+    giant rotations too.
+    """
+
+    transform: bool = False
+    steps: int = 8
+    giant: int = 1
+
+
+#: Rotations sharing one hoisted ModUp, each with its own ModDown.
+HOISTED = Discount()
+#: Rotations of a diagonal-method double-hoisted transform stage.
+TRANSFORM = Discount(transform=True)
+
+
 @dataclass
 class ScheduleItem:
-    """``count`` executions of ``op`` at ``level``."""
+    """``count`` executions of ``op`` at ``level``; a ``discount`` prices
+    each at a derived fraction of its plain cost."""
 
     op: str
     level: int
     count: float = 1.0
-    #: Rotations inside a hoisted BSGS group (cheaper per §workloads).
-    hoisted: bool = False
+    discount: Optional[Discount] = None
     note: str = ""
 
 
@@ -60,10 +85,11 @@ class WorkloadSchedule:
     items: List[ScheduleItem] = field(default_factory=list)
 
     def add(self, op: str, level: int, count: float = 1.0, *,
-            hoisted: bool = False, note: str = "") -> "WorkloadSchedule":
+            discount: Optional[Discount] = None,
+            note: str = "") -> "WorkloadSchedule":
         self.items.append(
-            ScheduleItem(op=op, level=level, count=count, hoisted=hoisted,
-                         note=note)
+            ScheduleItem(op=op, level=level, count=count,
+                         discount=discount, note=note)
         )
         return self
 
@@ -82,16 +108,16 @@ class WorkloadSchedule:
         """Total simulated time of the schedule on one device.
 
         ``batch`` ciphertexts ride through every kernel together (the
-        amortization mechanism of Table XIV's BS column). Each hoisted
-        item costs its plain price times the discount
+        amortization mechanism of Table XIV's BS column). An item with a
+        ``discount`` costs its plain price times the factor
         :func:`~repro.workloads.recorded.derived_hoisted_rotation_factor`
-        solves from a traced hoisted-keyswitch plan; a derivation error
-        propagates.
+        solves from the traced stage the discount names; a derivation
+        error propagates.
         """
         # Imported here: ``recorded`` imports this module at load time.
         from .recorded import derived_hoisted_rotation_factor
 
-        factor = derived_hoisted_rotation_factor(scheduler)
+        factors: Dict[Discount, float] = {}
         total = 0.0
         breakdown: Dict[str, float] = {}
         cache: Dict[tuple, float] = {}
@@ -102,8 +128,11 @@ class WorkloadSchedule:
                     item.op, level=item.level, batch=batch
                 ).elapsed_us
             cost = cache[key] * item.count
-            if item.hoisted:
-                cost *= factor
+            if item.discount is not None:
+                if item.discount not in factors:
+                    factors[item.discount] = derived_hoisted_rotation_factor(
+                        scheduler, **asdict(item.discount))
+                cost *= factors[item.discount]
             total += cost
             label = item.note or item.op
             breakdown[label] = breakdown.get(label, 0.0) + cost

@@ -139,6 +139,58 @@ class TestRescaleRule:
         assert "D-RES" in rules_of(check_semantics(t))
 
 
+class TestFusedRescale:
+    """A ``moddown`` with ``drop = k`` is the double-hoisted tail's
+    ModDown·rescale: the level, scale and rescale rules treat it as a
+    ``divide`` of ``k`` primes."""
+
+    @staticmethod
+    def _params():
+        from repro.ckks import ParameterSets
+        return ParameterSets.toy()
+
+    def _fused(self, *, main_primes, drop=1, tag_ratio=1.0):
+        params = self._params()
+        level = 2
+        q_top = params.chain().moduli[level]
+        base = 2.0 ** 40
+        events = (
+            ev(0, "tensor_product", level=level, shape={"rows": 3},
+               scale=base),
+            ev(1, "intt", level=level, deps=[0]),
+            ev(2, "moddown", level=level, deps=[1],
+               shape={"main_primes": main_primes, "special_primes": 2,
+                      "polys": 2, **({"drop": drop} if drop else {})},
+               scale=base / q_top * tag_ratio),
+            ev(3, "ntt", level=level, deps=[2]),
+            ev(4, "tensor_product", level=level - 1, deps=[3],
+               shape={"rows": 2}),
+        )
+        return OpTrace(label="fused", n=64, params=params, events=events)
+
+    def test_fused_rescale_is_clean(self):
+        assert check_semantics(self._fused(main_primes=2)) == []
+
+    def test_scale_follows_the_fused_divisor(self):
+        t = self._fused(main_primes=2)
+        q_top = t.params.chain().moduli[2]
+        assert ScaleMap(t)[3] == pytest.approx(2.0 ** 40 / q_top)
+
+    def test_wrong_main_prime_count_flagged(self):
+        assert rules_of(check_semantics(self._fused(main_primes=3))) == \
+            ["D-LVL"]
+
+    def test_mistagged_fused_scale_flagged(self):
+        t = self._fused(main_primes=2, tag_ratio=2.0)
+        assert rules_of(check_semantics(t)) == ["D-SCL"]
+
+    def test_plain_moddown_does_not_clear_pending(self):
+        # Without ``drop`` the tail divides by P only: the second tensor
+        # product consumes an unrescaled one, and the rescaled tag lies.
+        t = self._fused(main_primes=3, drop=0)
+        assert rules_of(check_semantics(t)) == ["D-RES", "D-SCL"]
+
+
 class TestKeyRule:
     def test_undeclared_rotation_step_flagged(self):
         t = trace(

@@ -30,7 +30,8 @@ class TestHoistedRotations:
     def test_matches_plain_rotations(self, ctx, keys):
         vals = np.arange(ctx.slots, dtype=float) / 7
         ct = ctx.encrypt(vals, keys)
-        hoisted = hoisted_rotations(ctx.evaluator, ct, [1, 2, 5], keys)
+        hoisted = hoisted_rotations(
+            ctx.evaluator, ct, [1, 2, 5], keys).ciphertexts()
         for step, rct in hoisted.items():
             expected = np.roll(vals, -step)
             got = ctx.decrypt_decode_real(rct, keys)
@@ -48,12 +49,13 @@ class TestHoistedRotations:
 
     def test_empty_steps(self, ctx, keys):
         ct = ctx.encrypt([1.0], keys)
-        assert hoisted_rotations(ctx.evaluator, ct, [], keys) == {}
+        assert hoisted_rotations(
+            ctx.evaluator, ct, [], keys).ciphertexts() == {}
 
     def test_works_at_lower_level(self, ctx, keys):
         vals = np.arange(ctx.slots, dtype=float) / 9
         ct = ctx.evaluator.level_down(ctx.encrypt(vals, keys), 1)
-        out = hoisted_rotations(ctx.evaluator, ct, [2], keys)[2]
+        out = hoisted_rotations(ctx.evaluator, ct, [2], keys).ciphertexts()[2]
         got = ctx.decrypt_decode_real(out, keys)
         assert np.max(np.abs(got - np.roll(vals, -2))) < 1e-3
 

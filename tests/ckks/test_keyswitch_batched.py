@@ -105,7 +105,7 @@ class TestBatchedHoistingBitExact:
         ctx, keys, steps = setup
         ct = ctx.encrypt(list(np.arange(ctx.slots) * 0.25), keys)
         ref = hoisted_rotations_looped(ctx.evaluator, ct, steps, keys)
-        got = hoisted_rotations(ctx.evaluator, ct, steps, keys)
+        got = hoisted_rotations(ctx.evaluator, ct, steps, keys).ciphertexts()
         assert set(ref) == set(got) == set(steps)
         for s in steps:
             assert ref[s].c0 == got[s].c0, f"step {s} (c0)"
@@ -118,7 +118,7 @@ class TestBatchedHoistingBitExact:
         ctx, keys, steps = setup
         ct = ctx.encrypt(list(np.arange(ctx.slots) * 0.5), keys, level=1)
         ref = hoisted_rotations_looped(ctx.evaluator, ct, steps, keys)
-        got = hoisted_rotations(ctx.evaluator, ct, steps, keys)
+        got = hoisted_rotations(ctx.evaluator, ct, steps, keys).ciphertexts()
         for s in steps:
             assert ref[s].c0 == got[s].c0 and ref[s].c1 == got[s].c1, \
                 f"step {s}"
@@ -128,7 +128,8 @@ class TestBatchedHoistingBitExact:
         ctx, keys, steps = setup
         values = list(np.arange(ctx.slots, dtype=float))
         ct = ctx.encrypt(values, keys)
-        hoisted = hoisted_rotations(ctx.evaluator, ct, steps, keys)
+        hoisted = hoisted_rotations(
+            ctx.evaluator, ct, steps, keys).ciphertexts()
         for s in steps:
             plain = ctx.decrypt_decode_real(
                 ctx.hrotate(ct, s, keys), keys
@@ -141,7 +142,8 @@ class TestBatchedHoistingBitExact:
         ct = ctx.encrypt([1.0], keys)
         with pytest.raises(KeyError):
             hoisted_rotations(ctx.evaluator, ct, [3], keys)
-        assert hoisted_rotations(ctx.evaluator, ct, [], keys) == {}
+        assert hoisted_rotations(
+            ctx.evaluator, ct, [], keys).ciphertexts() == {}
 
 
 class TestKeyswitchPoolBudget:

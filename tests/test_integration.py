@@ -7,7 +7,7 @@ from repro.analysis import format_table, within_factor
 from repro.ckks import CkksContext, ParameterSets
 from repro.core import OperationScheduler, WarpDriveFramework
 from repro.gpusim import aggregate
-from repro.workloads import WorkloadSchedule
+from repro.workloads import HOISTED, WorkloadSchedule
 
 
 class TestFunctionalToPerformancePipeline:
@@ -54,7 +54,7 @@ class TestScheduleToReportPipeline:
         workload = (
             WorkloadSchedule("custom")
             .add("hmult", 10, 3)
-            .add("hrotate", 10, 5, hoisted=True)
+            .add("hrotate", 10, 5, discount=HOISTED)
             .add("hadd", 10, 8)
         )
         timing = workload.price(sched, batch=2)

@@ -66,7 +66,7 @@ def hmult_trace(setup):
 def hoisted_trace(setup):
     ctx, keys, ct, _ = setup
     with record("hoisted", params=PARAMS) as rec:
-        hoisted_rotations(ctx.evaluator, ct, [1, 2, 3], keys)
+        hoisted_rotations(ctx.evaluator, ct, [1, 2, 3], keys).ciphertexts()
     return rec.trace
 
 

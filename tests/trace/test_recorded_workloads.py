@@ -5,6 +5,8 @@ import pytest
 from repro.ckks.params import ParameterSets
 from repro.core import OperationScheduler
 from repro.workloads import (
+    HOISTED,
+    TRANSFORM,
     WorkloadSchedule,
     WorkloadTiming,
     derived_hoisted_rotation_factor,
@@ -43,18 +45,38 @@ class TestDerivedFactor:
         scheduler = OperationScheduler(ParameterSets.by_name(name))
         assert 0.0 < derived_hoisted_rotation_factor(scheduler) < 1.0
 
+    @pytest.mark.parametrize("name", [
+        "SET-A", "SET-C", "SET-E", "Boot", "HELR", "AES",
+    ])
+    def test_transform_discount_below_hoisting_discount(self, name):
+        # A double-hoisted stage drops every rotation's ModDown tail, so
+        # its per-rotation discount undercuts the per-step one.
+        scheduler = OperationScheduler(ParameterSets.by_name(name))
+        lazy = derived_hoisted_rotation_factor(scheduler, transform=True)
+        assert 0.0 < lazy < derived_hoisted_rotation_factor(scheduler)
+
+    def test_lazy_items_priced_with_transform_discount(self,
+                                                       set_c_scheduler):
+        sched = WorkloadSchedule("lt")
+        sched.add("hrotate", 10, 7, discount=TRANSFORM)
+        plain = set_c_scheduler.simulate("hrotate", level=10).elapsed_us
+        lazy = derived_hoisted_rotation_factor(set_c_scheduler,
+                                               transform=True)
+        assert sched.price(set_c_scheduler).total_us == pytest.approx(
+            7 * plain * lazy)
+
     def test_derivation_error_propagates_from_price(self, set_c_scheduler,
                                                     monkeypatch):
         from repro.workloads import recorded
 
-        def broken(scheduler):
+        def broken(scheduler, **shape):
             raise ValueError("degenerate hoisting trace")
 
         monkeypatch.setattr(recorded, "derived_hoisted_rotation_factor",
                             broken)
         sched = WorkloadSchedule("rot")
         sched.add("hrotate", 10, 1)
-        sched.add("hrotate", 10, 7, hoisted=True)
+        sched.add("hrotate", 10, 7, discount=HOISTED)
         with pytest.raises(ValueError, match="degenerate"):
             sched.price(set_c_scheduler)
 

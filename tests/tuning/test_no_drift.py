@@ -18,7 +18,7 @@ from repro.workloads.recorded import RECORDED_BOOT_CONFIG, _recorded_boot_config
 
 
 def _item_counts(schedule):
-    return [(i.op, i.level, i.count, i.hoisted) for i in schedule.items]
+    return [(i.op, i.level, i.count, i.discount) for i in schedule.items]
 
 
 def test_bootstrap_config_and_schedule_share_fuse_default():

@@ -1,10 +1,14 @@
 """Tests for workload schedules and their pricing."""
 
+import re
+
 import pytest
 
 from repro.ckks import ParameterSets
 from repro.core import OperationScheduler
 from repro.workloads import (
+    HOISTED,
+    Discount,
     WorkloadSchedule,
     bootstrap_schedule,
     helr_iteration_schedule,
@@ -15,6 +19,9 @@ from repro.workloads import (
     simulate_transcipher,
     transcipher_schedule,
 )
+from repro.workloads.aes_transcipher import _BOOTS_PER_ROUND
+from repro.workloads.bootstrap_workload import linear_transform_schedule
+from repro.workloads.recorded import derived_hoisted_rotation_factor
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +43,8 @@ class TestScheduleContainer:
 
     def test_hoisted_rotations_are_cheaper(self, boot_sched):
         full = WorkloadSchedule("f").add("hrotate", 10, 10)
-        hoisted = WorkloadSchedule("h").add("hrotate", 10, 10, hoisted=True)
+        hoisted = WorkloadSchedule("h").add("hrotate", 10, 10,
+                                           discount=HOISTED)
         assert (
             hoisted.price(boot_sched).total_us
             < full.price(boot_sched).total_us
@@ -137,3 +145,57 @@ class TestTranscipherSchedule:
     def test_throughput_metric(self):
         r = simulate_transcipher()
         assert r.throughput_kb_per_s > 0
+
+
+def _price_items(items, scheduler):
+    sched = WorkloadSchedule("part")
+    sched.items.extend(items)
+    return sched.price(scheduler).total_us
+
+
+class TestEmbeddedBootstrap:
+    """A workload's bootstrap items are ``bootstrap_schedule``'s items
+    scaled by how often the workload bootstraps — discounts included."""
+
+    @pytest.mark.parametrize("name, build, prefix, per_boot", [
+        ("HELR", helr_iteration_schedule, r"boot\.", 1 / 2),
+        ("ResNet", resnet20_schedule, r"boot\d+\.", 2),
+        ("AES", transcipher_schedule, r"round\d+\.boot\.",
+         _BOOTS_PER_ROUND),
+    ], ids=["HELR", "ResNet", "AES"])
+    def test_boot_items_price_as_scaled_bootstrap(self, name, build,
+                                                  prefix, per_boot):
+        params = ParameterSets.by_name(name)
+        scheduler = OperationScheduler(params)
+        boot = bootstrap_schedule(params)
+        items = [i for i in build(params).items
+                 if re.match(prefix, i.note)]
+        copies = len(items) / len(boot.items)
+        assert copies == int(copies) and copies >= 1
+        for got, want in zip(items, boot.items * int(copies)):
+            assert (got.op, got.level, got.discount) == (
+                want.op, want.level, want.discount)
+        assert _price_items(items, scheduler) == pytest.approx(
+            copies * per_boot * boot.price(scheduler).total_us)
+
+
+class TestLinearTransformSchedule:
+    def test_dense_stage_priced_at_its_bsgs_shape(self):
+        # 2^15 slots in three stages: radix 32, 5 baby steps, 6 groups.
+        sched = linear_transform_schedule(
+            "CtS", ParameterSets.boot().slots, 20, stages=3,
+            fft_factored=False)
+        shapes = {i.discount for i in sched.items if i.discount}
+        assert shapes == {Discount(transform=True, steps=5, giant=6)}
+
+    def test_giant_groups_pay_full_rotations(self, boot_sched):
+        # Each extra giant group of a double-hoisted BSGS stage ends in
+        # its own fused tail and then pays a full HROTATE, so the traced
+        # 5x6 stage costs more than the 5-diagonal stage by at least
+        # five HROTATEs.
+        plain = boot_sched.simulate("hrotate", level=20).elapsed_us
+        bsgs = derived_hoisted_rotation_factor(
+            boot_sched, transform=True, steps=5, giant=6)
+        diag = derived_hoisted_rotation_factor(
+            boot_sched, transform=True, steps=5)
+        assert plain * (1 + 9 * bsgs) - plain * (1 + 4 * diag) >= 5 * plain
