@@ -1,54 +1,43 @@
-"""Pluggable array-ops backends for the RNS/NTT hot path.
+"""The compute backend of the RNS/NTT hot path.
 
 Every batched kernel the profiler ranks hot — elementwise modular
-arithmetic, the Barrett/Montgomery reduce chains, the stacked Shoup
-NTT/INTT sweeps, and the key-switch ``wide_dot`` inner product — is
-expressed once against the :class:`ArrayBackend` interface and routed
-through :func:`active_backend`. Selection, in priority order:
+arithmetic, the Barrett/Montgomery reduce chains, the stacked NTT/INTT
+and the key-switch ``wide_dot`` inner product — is a method of the one
+:class:`NumpyBackend` instance that :func:`active_backend` returns.
 
-1. an explicit :func:`set_backend` / :func:`use_backend` call;
-2. the ``REPRO_BACKEND`` environment variable (``numpy`` | ``numba`` |
-   ``auto``);
-3. the numpy reference backend.
-
-Optional backends are probed lazily; an unavailable or
-failing-``self_check`` choice falls back to numpy with a single
-``RuntimeWarning`` — never an ImportError, and never silently-divergent
-arithmetic: a backend only activates after proving bit-exact agreement
-with numpy on a deterministic op battery.
-
-See DESIGN.md §11 for the interface contract (canonical-value equality,
-lazy-representative freedom, the (num_primes, ...) leading-axis layout).
+Call sites look the method up on that instance at call time
+(``active_backend().mod_mul(...)``). That lookup is where perfbench's
+layer probes wrap the class methods, and the ``-> NumpyBackend`` return
+annotation is how fhelint resolves such a call to the method's
+``@bounded`` contract. See DESIGN.md §11.
 """
 
 from __future__ import annotations
 
-from .base import (
-    AUTO_ORDER,
-    BACKEND_ENV,
-    ArrayBackend,
-    BackendUnavailable,
-    active_backend,
-    available_backends,
-    backend_name,
-    backend_names,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from ..tuning.knobs import Choice, KnobSpec, register_knob
 from .numpy_backend import NumpyBackend
 
-__all__ = [
-    "AUTO_ORDER",
-    "BACKEND_ENV",
-    "ArrayBackend",
-    "BackendUnavailable",
-    "NumpyBackend",
-    "active_backend",
-    "available_backends",
-    "backend_name",
-    "backend_names",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
-]
+# -- declared tuning knobs (DESIGN.md §14) ----------------------------------
+
+register_knob(KnobSpec(
+    name="backend", layer="backend",
+    domain=Choice(("numpy",)), default="numpy",
+    doc="Array-ops backend the functional engine dispatches through "
+        "(numpy is the only one).",
+    observe=lambda pipe: pipe.backend,
+))
+
+_ACTIVE = NumpyBackend()
+
+
+def active_backend() -> NumpyBackend:
+    """The backend every hot kernel dispatches through."""
+    return _ACTIVE
+
+
+def backend_name() -> str:
+    """Name of the backend (always ``"numpy"``)."""
+    return _ACTIVE.name
+
+
+__all__ = ["NumpyBackend", "active_backend", "backend_name"]

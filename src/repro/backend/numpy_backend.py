@@ -1,23 +1,19 @@
-"""Numpy reference backend — always available, always the oracle.
+"""The numpy compute backend: every hot-path array kernel.
 
-Every other backend is checked bit-for-bit against this one. It is also
-where the small-size batched-arithmetic regression documented in
-``BENCH_poly.json`` (PR 1: add/sub/mul at 0.56-0.87x vs the seed
-per-prime loop at n=2048/4096) is fixed, by two changes to the
-elementwise hot path:
+Two choices keep the elementwise hot path fast at small matrices:
 
-* **Hardware-division reduce.** The row-wise Barrett partial-product
-  assembly was ~17 ufunc passes with intermediate allocations; numpy's
-  vectorized integer ``%`` (libdivide-style SIMD division since numpy
-  1.26) computes the identical canonical residue in a *single* pass,
-  4-5x faster at every measured size. The 64/32 Barrett split survives
-  in :class:`repro.numtheory.barrett.BarrettReducer` as the scalar/GPU
+* **Hardware-division reduce.** numpy's vectorized integer ``%``
+  (libdivide-style SIMD division since numpy 1.26) computes the
+  canonical residue in a *single* pass, where the row-wise Barrett
+  partial-product assembly takes ~17 ufunc passes with intermediate
+  allocations. The 64/32 Barrett split survives in
+  :class:`repro.numtheory.barrett.BarrettReducer` as the scalar/GPU
   reference discipline and in the property tests that pin ``%`` to it.
 * **Branchless min-trick add/sub.** ``np.subtract(..., where=mask)``
   allocates a bool mask and runs a slow masked inner loop. For
   ``s = a + b < 2q < 2**33`` the wrap-around trick ``min(s, s - q)``
   is exact (``s - q`` wraps past ``2**63`` when ``s < q``) and runs as
-  two unmasked passes — ~6x faster than the masked form at n=2048.
+  two unmasked passes.
 
 The stacked NTT/INTT run as exact float64 GEMMs — WarpDrive's
 tensor-core NTT (§IV-B) with 16-bit table limbs against the 53-bit
@@ -40,7 +36,6 @@ import math
 import numpy as np
 
 from ..analysis.annotations import bounded
-from .base import ArrayBackend
 
 _U32 = np.uint64(32)
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -254,8 +249,14 @@ def _gemm_ntt(x: np.ndarray, stack, *, inverse: bool = False,
     return out
 
 
-class NumpyBackend(ArrayBackend):
-    """Pure-numpy reference implementation of every backend op."""
+class NumpyBackend:
+    """Every hot-path array kernel, in numpy.
+
+    All array arguments are uint64 with the prime index on axis 0;
+    per-row constants (``q``, ``qinv``) arrive as 1-D ``(num_primes,)``
+    uint64 arrays. Methods return canonical residues (``< q`` per row)
+    and never mutate their inputs.
+    """
 
     name = "numpy"
 
@@ -287,6 +288,7 @@ class NumpyBackend(ArrayBackend):
 
     @bounded(assume=True, params={"t": {"ubound": 1 << 63}}, out_q=1)
     def mod_reduce(self, t: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Row-wise ``t mod q_i`` for any uint64 ``t``."""
         # One SIMD integer-division pass; exact for any uint64 input, so
         # it covers the full Barrett range (q**2 plus accumulator slack).
         return t.astype(np.uint64, copy=False) % _col(q, t.ndim)
@@ -304,6 +306,8 @@ class NumpyBackend(ArrayBackend):
     @bounded(assume=True, params={"t": {"ubound": 1 << 63}}, out_q=1)
     def montgomery_reduce(self, t: np.ndarray, q: np.ndarray,
                           qinv: np.ndarray) -> np.ndarray:
+        """Row-wise REDC ``t * R^{-1} mod q_i`` for ``t < q_i * 2**32``;
+        ``qinv`` holds ``-q_i^{-1} mod 2**32``."""
         t = t.astype(np.uint64, copy=False)
         q_c = _col(q, t.ndim)
         qinv_c = _col(qinv, t.ndim)
@@ -330,6 +334,10 @@ class NumpyBackend(ArrayBackend):
              params={"x": {"bits": 32}, "stack.q": {"modulus": True}})
     def ntt_forward(self, x: np.ndarray, stack, *, lazy: bool = False,
                     t_out: bool = False) -> np.ndarray:
+        """Forward stacked negacyclic NTT of a ``(P, G, N)`` batch of
+        inputs ``< 2**32``: canonical output, or representatives ``< 2q``
+        with ``lazy=True``; ``t_out`` returns the digit-innermost
+        ``(P, N, G)`` layout."""
         y = _gemm_ntt(x.astype(np.uint64, copy=False), stack, t_out=t_out)
         if not lazy:
             # canonicalize: < 2q -> < q
@@ -340,6 +348,8 @@ class NumpyBackend(ArrayBackend):
     @bounded(in_q=2, out_q=1,
              params={"x": {"q": 2}, "stack.q": {"modulus": True}})
     def ntt_inverse(self, x: np.ndarray, stack) -> np.ndarray:
+        """Inverse stacked negacyclic NTT of a ``(P, G, N)`` batch of
+        inputs ``< 2q``; canonical output."""
         y = _gemm_ntt(x.astype(np.uint64, copy=False), stack, inverse=True)
         t = y - stack.q.reshape(-1, 1, 1)
         np.minimum(y, t, out=y)
@@ -349,6 +359,9 @@ class NumpyBackend(ArrayBackend):
              params={"ext": {"bits": 32}, "rows": {"q": 1}})
     def wide_dot(self, ext: np.ndarray, rows: np.ndarray, q: np.ndarray,
                  *, lane_axis: int = -2) -> np.ndarray:
+        """``sum_g ext[..g..] * rows[..g..] mod q_i`` over the digit axis
+        ``lane_axis``; ``rows`` canonical, ``ext`` any representatives
+        below ``2**32``; canonical output."""
         # Each < 2**63 product splits into 32-bit halves which accumulate
         # exactly in uint64 over the digit axis (safe for G up to ~2**25);
         # the partial sums fold with (hi mod q) * (2**32 mod q) + lo.

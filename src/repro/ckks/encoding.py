@@ -39,6 +39,22 @@ def _zeta_twist(n: int) -> np.ndarray:
     return np.exp(1j * np.pi * k / n)
 
 
+def _round_scaled(scaled: np.ndarray) -> np.ndarray:
+    """Round scaled coefficients to int64, refusing non-finite values and
+    anything at or past ``2**62`` (``not limit < 2**62`` also catches
+    NaN, which fails every comparison)."""
+    limit = float(np.max(np.abs(scaled))) if scaled.size else 0.0
+    if not limit < 2**62:
+        if not np.isfinite(limit):
+            raise ValueError(
+                "cannot encode non-finite input (NaN or infinity)"
+            )
+        raise ValueError(
+            "scaled coefficients overflow 62 bits; reduce the scale"
+        )
+    return np.rint(scaled).astype(np.int64)
+
+
 class Encoder:
     """Encoder/decoder bound to one parameter set."""
 
@@ -58,13 +74,7 @@ class Encoder:
         headroom instead.
         """
         scale = self.params.scale if scale is None else scale
-        scaled = self.embed(values) * scale
-        limit = float(np.max(np.abs(scaled))) if self.n else 0.0
-        if limit >= 2**62:
-            raise ValueError(
-                "scaled coefficients overflow 62 bits; reduce the scale"
-            )
-        return np.rint(scaled).astype(np.int64)
+        return _round_scaled(self.embed(values) * scale)
 
     def embed(self, values) -> np.ndarray:
         """The canonical embedding as unrounded float coefficients
@@ -115,13 +125,7 @@ class Encoder:
         """Batched :meth:`encode`: ``(D, slots)`` slot rows to ``(D, n)``
         int64 coefficient rows in one vectorized pass."""
         scale = self.params.scale if scale is None else scale
-        scaled = self.embed_many(rows) * scale
-        limit = float(np.max(np.abs(scaled))) if scaled.size else 0.0
-        if limit >= 2**62:
-            raise ValueError(
-                "scaled coefficients overflow 62 bits; reduce the scale"
-            )
-        return np.rint(scaled).astype(np.int64)
+        return _round_scaled(self.embed_many(rows) * scale)
 
     def decode(self, coeffs, scale: float = None) -> np.ndarray:
         """Decode (possibly big-int) centered coefficients back to slots."""

@@ -499,8 +499,8 @@ def hoisted_rotations_looped(ev: Evaluator, ct: Ciphertext,
                              keys: KeySet) -> Dict[int, Ciphertext]:
     """The per-step reference of :meth:`HoistedRotations.ciphertexts`.
 
-    Kept as the bit-exactness oracle and as the baseline of
-    ``benchmarks/bench_keyswitch.py``: each step's terms from
+    Kept as the bit-exactness oracle
+    (``tests/ckks/test_keyswitch_batched.py``): each step's terms from
     :func:`hoisted_terms_looped`, lowered by ``P`` one polynomial at a
     time. Step ``0`` is the input ciphertext itself.
     """

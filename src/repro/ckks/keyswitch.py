@@ -193,7 +193,7 @@ def keyswitch_looped(d: RnsPoly, ksk: KeySwitchKey,
 
     Runs ModUp, NTT and the inner-product accumulation one digit at a
     time. Kept verbatim as the bit-exactness oracle for :func:`keyswitch`
-    and as the baseline of ``benchmarks/bench_keyswitch.py``.
+    (``tests/ckks/test_keyswitch_batched.py``).
     """
     if d.domain != EVAL:
         raise ValueError("keyswitch input must be in eval domain")

@@ -120,13 +120,13 @@ def wide_dot(ext: np.ndarray, rows: np.ndarray,
     give the same result, so the stacked NTT can skip its final
     canonicalization.
 
-    The split-accumulate kernel lives in the active backend
+    The split-accumulate kernel lives in the backend
     (:mod:`repro.backend`): each ``< 2**63`` product splits into 32-bit
     halves which accumulate exactly in uint64 over the digit axis (safe
     for G up to ~2**25), and the partial sums fold with
     ``(hi mod q) * (2**32 mod q) + lo``. The result is canonical and
     bit-identical to the reference ``acc = acc + reduce(ext_g * rows_g)``
-    chain on every backend.
+    chain.
     """
     return active_backend().wide_dot(ext, rows, reducer.q_row(),
                                      lane_axis=lane_axis)

@@ -6,12 +6,11 @@ needs all ``dnum * num_primes`` rows transformed in one pass, the way
 WarpDrive's PE kernels consume the digit dimension as ciphertext-level
 parallelism (§IV-C) rather than launching per-digit transforms serially.
 
-The transform itself lives in the active compute backend
+The transform itself lives in the compute backend
 (:mod:`repro.backend`); this module owns the per-chain table view
 (:class:`ShoupStack`), shape validation and the public entry points.
-On the numpy backend every stacked transform is a sequence of exact
-float64 GEMMs over 16-bit table limbs — WarpDrive's tensor-core NTT
-(§IV-A/B) on the host:
+Every stacked transform is a sequence of exact float64 GEMMs over
+16-bit table limbs — WarpDrive's tensor-core NTT (§IV-A/B) on the host:
 
 * **Four-step GEMM dataflow.** ``N = ma * mb``: a negacyclic size-``mb``
   leaf GEMM over the outer index (recursing once more above N = 4096),
@@ -25,9 +24,6 @@ float64 GEMMs over 16-bit table limbs — WarpDrive's tensor-core NTT
   ``2**53`` for inputs up to ``2**31`` in magnitude; raw inputs below
   ``2**32`` are centred by ``-2**31`` on entry. The plan refuses any
   depth that would break the bound.
-
-The Numba backend instead runs a fused radix-2 Shoup ladder over the
-lazily built tables of :class:`ShoupStack`.
 
 Outputs are canonical (``< q``) and bit-identical to running the
 Montgomery-domain batched kernel row by row (regression-tested).
@@ -47,45 +43,18 @@ import numpy as np
 
 from ..analysis.annotations import bounded, coeff_form, eval_form, takes_form
 from ..backend import active_backend
-from ..numtheory import bit_reverse_permutation
 from .limbgemm import GemmNttPlan, get_gemm_plan
-from .tables import TABLE_CACHE_SIZE, get_tables
-
-_U32 = np.uint64(32)
-
-
-@bounded(params={"table": {"q": 1}, "q_col": {"modulus": True}},
-         out_bits=32)
-def _shoup(table: np.ndarray, q_col: np.ndarray) -> np.ndarray:
-    """Shoup companions ``floor(w * 2**32 / q)`` per element.
-
-    ``w < q < 2**31`` keeps ``w << 32`` inside uint64, so the quotient is
-    exact in native integer arithmetic.
-    """
-    return (table << _U32) // q_col
+from .tables import TABLE_CACHE_SIZE
 
 
 class ShoupStack:
-    """Per-chain view of the NTT tables for one ``(moduli, N)`` pair,
+    """Per-chain view of the NTT constants for one ``(moduli, N)`` pair,
     shared by every stacked transform over that chain.
 
-    The numpy backend reads only :attr:`q` and :attr:`gemm_plans` (the
-    per-prime limb-split GEMM plans, cached per ``(q, N)`` and shared
-    across chains). The radix-2 Shoup tables below feed the Numba
-    backend's fused butterfly ladder and are built on first access, so a
-    numpy-only process never materializes them.
-
-    Attributes
-    ----------
-    psi_perm, psi_perm_sh:
-        Negacyclic pre-twist factors in *bit-reversed* order (the forward
-        kernel permutes first, so the twist table is permuted once here
-        instead of per call), with Shoup companions.
-    omega, omega_sh / omega_inv, omega_inv_sh:
-        ``(num_primes, N)`` cyclic-core twiddle tables, plain domain.
-    psi_inv_scale, psi_inv_scale_sh:
-        Inverse post-twist with the ``N^{-1}`` normalizer fused in:
-        ``psi^{-j} * N^{-1} mod q``.
+    It holds :attr:`q`, the chain's moduli as a ``(num_primes,)`` uint64
+    array, and :attr:`gemm_plans`, the per-prime limb-split GEMM plans
+    (cached per ``(q, N)`` and shared across chains, built on first
+    use). The name dates from the radix-2 Shoup tables it once held.
     """
 
     def __init__(self, moduli: Sequence[int], n: int):
@@ -96,51 +65,6 @@ class ShoupStack:
     @cached_property
     def gemm_plans(self) -> Tuple[GemmNttPlan, ...]:
         return tuple(get_gemm_plan(q, self.n) for q in self.moduli)
-
-    @cached_property
-    def _tables(self):
-        return [get_tables(q, self.n) for q in self.moduli]
-
-    @cached_property
-    def _perm(self) -> np.ndarray:
-        return np.array(bit_reverse_permutation(self.n), dtype=np.intp)
-
-    @cached_property
-    def psi_perm(self) -> np.ndarray:
-        psi = np.stack([t.psi_pows for t in self._tables])
-        return np.ascontiguousarray(psi[:, self._perm])
-
-    @cached_property
-    def psi_perm_sh(self) -> np.ndarray:
-        return _shoup(self.psi_perm, self.q[:, None])
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        return np.stack([t.omega_pows for t in self._tables])
-
-    @cached_property
-    def omega_sh(self) -> np.ndarray:
-        return _shoup(self.omega, self.q[:, None])
-
-    @cached_property
-    def omega_inv(self) -> np.ndarray:
-        return np.stack([t.omega_inv_pows for t in self._tables])
-
-    @cached_property
-    def omega_inv_sh(self) -> np.ndarray:
-        return _shoup(self.omega_inv, self.q[:, None])
-
-    @cached_property
-    def psi_inv_scale(self) -> np.ndarray:
-        psi_inv = np.stack([t.psi_inv_pows for t in self._tables])
-        n_inv = np.array([t.n_inv for t in self._tables],
-                         dtype=np.uint64)[:, None]
-        # psi_inv * n_inv < 2**62 fits uint64; one fused post-scale table.
-        return (psi_inv * n_inv) % self.q[:, None]
-
-    @cached_property
-    def psi_inv_scale_sh(self) -> np.ndarray:
-        return _shoup(self.psi_inv_scale, self.q[:, None])
 
     @property
     def num_primes(self) -> int:
@@ -178,16 +102,15 @@ def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
     """Forward negacyclic NTT of a ``(P, G, N)`` digit batch (or a plain
     ``(P, N)`` matrix) in one pass; canonical output, same shape.
 
-    The transform itself lives in the active backend
-    (:mod:`repro.backend`); this wrapper owns shape validation and the
-    2-D squeeze so every backend sees the same ``(P, G, N)`` batch.
+    The transform itself lives in the backend (:mod:`repro.backend`);
+    this wrapper owns shape validation and the 2-D squeeze, so the
+    backend always sees a ``(P, G, N)`` batch.
 
     Accepts lazy inputs: any representatives ``< 2**32`` transform to the
     same canonical result as their reduced values.
 
     ``lazy``: skip the final canonicalization and return lazy values
-    ``< 2q`` (congruent to the canonical transform; the representatives
-    are backend-specific) — for consumers that tolerate 32-bit
+    ``< 2q`` (congruent to the canonical transform) — for consumers that tolerate 32-bit
     representatives, e.g. the wide-accumulator inner product.
     ``t_out``: return the digit-innermost ``(P, N, G)`` working layout
     directly, skipping the transpose back (3-D batches only); consumers
@@ -208,7 +131,7 @@ def stacked_negacyclic_intt(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
     """Inverse negacyclic NTT of a ``(P, G, N)`` batch (or ``(P, N)``
     matrix); canonical output, same shape. Inputs must be ``< 2q``
     (canonical inputs always qualify). Delegates the transform to the
-    active backend (:mod:`repro.backend`)."""
+    backend (:mod:`repro.backend`)."""
     squeeze = x.ndim == 2
     x = _check_shape(x, stack)
     out = active_backend().ntt_inverse(x, stack)

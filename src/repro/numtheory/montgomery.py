@@ -153,9 +153,9 @@ class BatchMontgomeryReducer:
     def reduce_mat(self, t: np.ndarray) -> np.ndarray:
         """Row-wise REDC for uint64 entries below ``q_i * R``.
 
-        The REDC sequence lives in the active backend
-        (:mod:`repro.backend`); every backend is bit-identical to
-        :meth:`MontgomeryReducer.reduce_vec` with the row's constants.
+        The REDC sequence lives in the backend (:mod:`repro.backend`),
+        bit-identical to :meth:`MontgomeryReducer.reduce_vec` with the
+        row's constants.
         """
         return active_backend().montgomery_reduce(t, self._q, self._qinv)
 

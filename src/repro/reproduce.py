@@ -203,8 +203,7 @@ def gym_summary() -> str:
     Reads ``BENCH_gym.json`` when the benchmark has been run; otherwise
     runs one short live hill-climb over a cheap op-level workload so the
     summary still shows the declared-knob search working end to end.
-    The ``backend`` row surfaces the env-declared knob that replaced the
-    bare ``REPRO_BACKEND`` lookup.
+    The ``backend`` row shows the backend knob's (single) value.
     """
     import json
     import os

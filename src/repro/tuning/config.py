@@ -119,7 +119,7 @@ class TuningConfig:
 
         Round-trip contract: ``TuningConfig.from_dict(cfg.to_dict())``
         builds a pipeline that prices bit-identically to ``cfg``'s, even
-        if registry defaults (or ``REPRO_BACKEND``) change in between —
+        if registry defaults change in between —
         the snapshot pins *every* knob explicitly.
         """
         return self.effective()

@@ -48,7 +48,7 @@ DECLARING_MODULES: Tuple[str, ...] = (
     "repro.gpusim.device",
     "repro.trace.lowering",
     "repro.serving.simulator",
-    "repro.backend.base",
+    "repro.backend",
 )
 
 
@@ -186,8 +186,6 @@ class KnobSpec:
     to the value this knob materialized as — the round-trip contract the
     property suite checks for every registered knob: assigning an
     in-domain, non-``None`` value must be observable on the built object.
-    ``default_factory`` (e.g. the backend knob reading ``REPRO_BACKEND``)
-    wins over ``default`` when set.
     """
 
     name: str
@@ -195,14 +193,11 @@ class KnobSpec:
     domain: Domain
     doc: str
     default: Any = None
-    default_factory: Optional[Callable[[], Any]] = None
     observe: Optional[Callable[[Any], Any]] = None
 
     def resolve_default(self) -> Any:
         if self.name in _DEFAULT_OVERRIDES:
             return _DEFAULT_OVERRIDES[self.name]
-        if self.default_factory is not None:
-            return self.default_factory()
         return self.default
 
     def validate(self, value: Any) -> Any:
@@ -232,8 +227,7 @@ def register_knob(spec: KnobSpec) -> KnobSpec:
             f"knob {spec.name!r} already declared by layer "
             f"{existing.layer!r}; {spec.layer!r} must not redeclare it"
         )
-    if spec.default_factory is None:
-        spec.validate(spec.default)
+    spec.validate(spec.default)
     _REGISTRY[spec.name] = spec
     return spec
 

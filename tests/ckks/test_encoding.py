@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckks import Encoder, ParameterSets
+from repro.ckks import CkksContext, Encoder, ParameterSets
 
 PARAMS = ParameterSets.toy()
 
@@ -13,6 +13,12 @@ PARAMS = ParameterSets.toy()
 @pytest.fixture(scope="module")
 def encoder():
     return Encoder(PARAMS)
+
+
+@pytest.fixture(scope="module")
+def toy_ctx():
+    ctx = CkksContext.create(PARAMS, seed=0)
+    return ctx, ctx.keygen()
 
 
 class TestRoundtrip:
@@ -48,6 +54,19 @@ class TestRoundtrip:
     def test_scale_overflow_detected(self, encoder):
         with pytest.raises(ValueError):
             encoder.encode([1000.0], scale=2.0**60)
+        with pytest.raises(ValueError, match="overflow"):
+            encoder.encode_many([[0.5], [1000.0]], scale=2.0**60)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, encoder, toy_ctx, bad):
+        vals = [1.0, bad, 2.0]
+        with pytest.raises(ValueError, match="non-finite"):
+            encoder.encode(vals)
+        with pytest.raises(ValueError, match="non-finite"):
+            encoder.encode_many([[0.5, 0.25, 0.125], vals])
+        ctx, keys = toy_ctx
+        with pytest.raises(ValueError, match="non-finite"):
+            ctx.encrypt(vals, keys)
 
     def test_decode_shape_check(self, encoder):
         with pytest.raises(ValueError):

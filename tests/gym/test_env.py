@@ -98,12 +98,11 @@ def test_base_config_pins_unsearched_knobs():
 
 
 def test_trajectory_logs_backend_and_base_knobs():
-    """The declared backend knob (ex-REPRO_BACKEND) is visible in every
-    trajectory, alongside the other unsearched knobs the episode ran
-    under."""
+    """The declared backend knob is visible in every trajectory,
+    alongside the other unsearched knobs the episode ran under."""
     env = TuningEnv("op:hmult")
     d = env.trajectory.to_dict()
-    assert d["base"]["backend"] in ("auto", "numpy", "numba")
+    assert d["base"]["backend"] == "numpy"
     assert d["base"]["params.set"] == "SET-C"
     assert "ntt.variant" not in d["base"]  # searched, logged per point
     env.reset(seed=2)

@@ -14,7 +14,6 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.backend import use_backend
 from repro.ckks import ParameterSets
 from repro.ntt import (
     ShoupStack,
@@ -63,12 +62,6 @@ def _chain_primes():
 
 
 PRIMES = _chain_primes()
-
-
-@pytest.fixture(autouse=True)
-def _numpy_backend():
-    with use_backend("numpy"):
-        yield
 
 
 def _montgomery(data, oracle, inverse=False):
@@ -181,12 +174,3 @@ class TestPlan:
         a = ShoupStack((q1, q2), n).gemm_plans
         b = ShoupStack((q3, q1), n).gemm_plans
         assert a[0] is b[1] is get_gemm_plan(q1, n)
-
-    def test_radix2_tables_are_built_only_on_demand(self):
-        n = 128
-        stack = ShoupStack(tuple(find_ntt_primes(2, 30, n)), n)
-        x = np.zeros((2, 1, n), dtype=np.uint64)
-        stacked_negacyclic_intt(stacked_negacyclic_ntt(x, stack), stack)
-        assert "omega" not in vars(stack)
-        assert "psi_perm" not in vars(stack)
-        assert stack.omega.shape == (2, n)

@@ -128,14 +128,9 @@ def test_overriding_default_validates():
             pass
 
 
-def test_backend_knob_reads_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+def test_backend_knob_is_numpy_only():
     assert knob_default("backend") == "numpy"
-    monkeypatch.setenv("REPRO_BACKEND", "auto")
-    assert knob_default("backend") == "auto"
-    # Garbage env degrades to numpy instead of poisoning the registry.
-    monkeypatch.setenv("REPRO_BACKEND", "quantum")
-    assert knob_default("backend") == "numpy"
+    assert knob("backend").domain.points() == ("numpy",)
 
 
 def test_render_registry_lists_every_knob():
