@@ -58,6 +58,21 @@ def forge_scale_mismatch(trace: OpTrace) -> List[Finding]:
     raise ValueError("no tagged addition whose mutation trips D-SCL")
 
 
+def _bypass(trace: OpTrace, base: List[TraceEvent], i: int) -> OpTrace:
+    """``trace`` with ``base[i]`` deleted and its readers re-pointed at
+    its first dependency."""
+    victim = base[i]
+    replacement = victim.deps[0]
+    events = []
+    for e in base[:i] + base[i + 1:]:
+        if victim.eid in e.deps:
+            deps = tuple(sorted(
+                {replacement if d == victim.eid else d for d in e.deps}))
+            e = dataclasses.replace(e, deps=deps)
+        events.append(e)
+    return dataclasses.replace(trace, events=tuple(events))
+
+
 def forge_dropped_rescale(trace: OpTrace) -> List[Finding]:
     """Delete a rescale divide between two tensor products (D-RES).
 
@@ -68,19 +83,30 @@ def forge_dropped_rescale(trace: OpTrace) -> List[Finding]:
     for i, victim in enumerate(base):
         if victim.kind != "divide" or not victim.deps:
             continue
-        replacement = victim.deps[0]
-        events = []
-        for e in base[:i] + base[i + 1:]:
-            if victim.eid in e.deps:
-                deps = tuple(sorted(
-                    {replacement if d == victim.eid else d for d in e.deps}))
-                e = dataclasses.replace(e, deps=deps)
-            events.append(e)
-        mutated = dataclasses.replace(trace, events=tuple(events))
+        mutated = _bypass(trace, base, i)
         found = [f for f in check_semantics(mutated) if f.rule == "D-RES"]
         if found:
             return found
     raise ValueError("no divide whose removal breaks rescale placement")
+
+
+def forge_dropped_sum_moddown(trace: OpTrace) -> List[Finding]:
+    """Skip the ModDown of a hoisted rotate-and-sum tail (D-LVL).
+
+    The summed lanes go straight from the INTT over ``Q ∪ P`` into the
+    NTT over the level's primes — the division by ``P`` is gone, and the
+    checker must see extended-basis data reach a ``Q_l`` transform.
+    """
+    base = _events(trace)
+    for i, victim in enumerate(base):
+        if (victim.kind != "moddown" or not victim.deps
+                or victim.op.split("/")[-1] != "rotate_sum"):
+            continue
+        mutated = _bypass(trace, base, i)
+        found = [f for f in check_semantics(mutated) if f.rule == "D-LVL"]
+        if found:
+            return found
+    raise ValueError("no rotate-and-sum ModDown whose removal trips D-LVL")
 
 
 def forge_dropped_fused_rescale(trace: OpTrace) -> List[Finding]:
@@ -145,6 +171,7 @@ MUTATIONS: Dict[str, tuple] = {
     "scale_mismatch_add": ("D-SCL", forge_scale_mismatch),
     "dropped_rescale": ("D-RES", forge_dropped_rescale),
     "dropped_fused_rescale": ("D-SCL", forge_dropped_fused_rescale),
+    "dropped_sum_moddown": ("D-LVL", forge_dropped_sum_moddown),
     "over_budget_noise": ("D-NSE", forge_over_budget_noise),
     "overcommitted_pool": ("D-HBM", forge_overcommitted_pool),
 }

@@ -130,8 +130,9 @@ def run_dagcheck(*, optimizer: bool = True, search: bool = True,
                  names: Optional[List[str]] = None) -> DagcheckResult:
     """The full catalog run plus the mutation-kill battery.
 
-    Mutations are forged against the smallest catalog trace that
-    supports each forge (the ResNet block where possible) so the kill
+    Mutations are forged against the first catalog trace, smallest
+    first, that supports each forge (the ResNet block where possible;
+    the HELR iteration holds the hoisted rotate-and-sum) so the kill
     battery stays cheap relative to the catalog sweep.
     """
     result = DagcheckResult(
@@ -140,14 +141,14 @@ def run_dagcheck(*, optimizer: bool = True, search: bool = True,
     if mutations:
         from .catalog import CATALOG
         recorders = CATALOG()
-        small = recorders["resnet_block"]()
-        big = recorders["aes_transcipher"]()
+        candidates = ("resnet_block", "aes_transcipher", "helr_iteration")
         for name in MUTATIONS:
-            trace = small
-            try:
-                found = forge(name, trace)
-            except ValueError:
-                trace = big
-                found = forge(name, trace)
+            for pos, workload in enumerate(candidates):
+                try:
+                    found = forge(name, recorders[workload]())
+                    break
+                except ValueError:
+                    if pos == len(candidates) - 1:
+                        raise
             result.mutation_kills[name] = len(found)
     return result

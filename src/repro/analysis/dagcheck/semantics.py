@@ -18,6 +18,9 @@ Conventions established by the recorder (:mod:`repro.ckks`):
   ``main_primes = level + 1 - drop``, the same divisor — and clears a
   pending tensor product like a ``divide``.  A plain ModDown (no
   ``drop``) divides by ``P`` only, which leaves the scale unchanged.
+* ModUp and the key-switch inner products produce residues over
+  ``Q_l ∪ P``; only transforms spanning that basis, inner products and
+  ModDown may read them, so a dropped ModDown is a level finding.
 * The only legitimate level *raise* is bootstrap's ModRaise, recognised
   by the ``ModRaise``/``mod_raise`` span component.
 * Scale tags (:attr:`~repro.trace.ir.TraceEvent.scale`) appear on
@@ -186,6 +189,49 @@ def _check_levels(trace: OpTrace, out: List[Finding]) -> None:
                     f"polynomials at level {e.level} ({L1} primes)"))
 
 
+#: Kinds whose output lives over the extended basis ``Q_l ∪ P``.
+_EXTENDED_OUT = ("modup", "inner_product")
+
+#: Kinds that may read extended-basis data (a transform must also span
+#: the extended basis per pane); ModDown is the way back to ``Q_l``.
+_EXTENDED_IN = ("ntt", "intt", "inner_product", "moddown")
+
+
+def _check_basis(trace: OpTrace, out: List[Finding]) -> None:
+    """D-LVL: data over ``Q_l ∪ P`` reaches a ``Q_l`` consumer only
+    through a ModDown.
+
+    ModUp and the key-switch inner products produce extended-basis
+    residues; transforms spanning ``level + 1 + K`` primes per pane carry
+    them on. Anything else reading them — a transform over the level's
+    primes, an element-wise op, a gather — has skipped the division by
+    ``P`` (the key-switch result would be ``P`` times too large over a
+    basis that no longer holds it).
+    """
+    params = trace.params
+    num_special = getattr(params, "num_special", None)
+    if num_special is None:
+        return
+    extended = set()
+    for e in trace.events:
+        wide = [d for d in e.deps if d in extended]
+        width = None
+        if e.kind in ("ntt", "intt") and e.level is not None:
+            width = e.shape.get("rows", 0) // max(1, e.shape.get("panes", 1))
+        spans_extended = (width is not None
+                          and width == e.level + 1 + num_special)
+        if wide and (e.kind not in _EXTENDED_IN
+                     or (width is not None and not spans_extended)):
+            what = (f"{e.kind} over {width} primes per pane"
+                    if width is not None else e.kind)
+            out.append(_finding(
+                "D-LVL", trace, e,
+                f"{what} at level {e.level} reads extended-basis (Q ∪ P) "
+                f"data from eid {wide[0]} with no ModDown on the path"))
+        if e.kind in _EXTENDED_OUT or (wide and spans_extended):
+            extended.add(e.eid)
+
+
 def _check_domains(trace: OpTrace, out: List[Finding]) -> None:
     """D-CEV: coeff/eval domain discipline along data paths."""
     domain: Dict[int, Optional[str]] = {}
@@ -286,6 +332,7 @@ def check_semantics(trace: OpTrace) -> List[Finding]:
     ex = trace.expanded()
     out: List[Finding] = []
     _check_levels(ex, out)
+    _check_basis(ex, out)
     _check_domains(ex, out)
     _check_scales(ex, ScaleMap(ex), out)
     _check_rescale_placement(ex, out)

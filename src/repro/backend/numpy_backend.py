@@ -207,8 +207,7 @@ class _GemmRun:
 
 
 @bounded(assume=True, in_bits=32, out_q=2, params={"x": {"bits": 32}})
-def _gemm_ntt(x: np.ndarray, stack, *, inverse: bool = False,
-              t_out: bool = False) -> np.ndarray:
+def _gemm_ntt(x: np.ndarray, stack, *, inverse: bool = False) -> np.ndarray:
     """Float64 section of the stacked transform: ``(P, G, N)`` uint64 in
     (``< 2**32``), uint64 representatives ``< 2q`` out.
 
@@ -216,14 +215,13 @@ def _gemm_ntt(x: np.ndarray, stack, *, inverse: bool = False,
     other through one workspace. Digit order is entered or left with one
     strided copy, and the exit adds ``q`` to the balanced result
     ``|r| <= q/2 + 2`` while casting back to integers, landing in
-    ``[0, 2q)``. ``t_out`` (forward only) writes the digit-innermost
-    ``(P, N, G)`` layout instead.
+    ``[0, 2q)``.
     """
     num_p, g, n = x.shape
     plans = stack.gemm_plans
     radices = plans[0].radices
     rev = tuple(range(len(radices) + 1, 1, -1))
-    out = np.empty((num_p, n, g) if t_out else (num_p, g, n), dtype=np.uint64)
+    out = np.empty((num_p, g, n), dtype=np.uint64)
     step = max(1, _BLOCK_ELEMS // max(1, g * n))
     work = np.empty(7 * min(step, num_p) * g * n)
     bufsize = np.setbufsize(_UFUNC_BUFSIZE)
@@ -236,12 +234,8 @@ def _gemm_ntt(x: np.ndarray, stack, *, inverse: bool = False,
                 src = run.inverse(x[p0:p1])
             else:
                 y = run.forward(x[p0:p1]).reshape((p1 - p0, g) + radices)
-                if t_out:
-                    src = y.transpose((0,) + rev + (1,))
-                    block = block.reshape((p1 - p0,) + radices[::-1] + (g,))
-                else:
-                    src = y.transpose((0, 1) + rev)
-                    block = block.reshape((p1 - p0, g) + radices[::-1])
+                src = y.transpose((0, 1) + rev)
+                block = block.reshape((p1 - p0, g) + radices[::-1])
             np.add(src, run.qf.reshape((-1,) + (1,) * (src.ndim - 1)),
                    out=block.view(np.int64), casting="unsafe")
     finally:
@@ -332,13 +326,12 @@ class NumpyBackend:
 
     @bounded(in_bits=32, out_q=1, out_q_lazy=2,
              params={"x": {"bits": 32}, "stack.q": {"modulus": True}})
-    def ntt_forward(self, x: np.ndarray, stack, *, lazy: bool = False,
-                    t_out: bool = False) -> np.ndarray:
+    def ntt_forward(self, x: np.ndarray, stack, *,
+                    lazy: bool = False) -> np.ndarray:
         """Forward stacked negacyclic NTT of a ``(P, G, N)`` batch of
         inputs ``< 2**32``: canonical output, or representatives ``< 2q``
-        with ``lazy=True``; ``t_out`` returns the digit-innermost
-        ``(P, N, G)`` layout."""
-        y = _gemm_ntt(x.astype(np.uint64, copy=False), stack, t_out=t_out)
+        with ``lazy=True``."""
+        y = _gemm_ntt(x.astype(np.uint64, copy=False), stack)
         if not lazy:
             # canonicalize: < 2q -> < q
             t = y - stack.q.reshape(-1, 1, 1)
@@ -357,17 +350,17 @@ class NumpyBackend:
 
     @bounded(assume=True, out_q=1, max_lanes=1 << 20,
              params={"ext": {"bits": 32}, "rows": {"q": 1}})
-    def wide_dot(self, ext: np.ndarray, rows: np.ndarray, q: np.ndarray,
-                 *, lane_axis: int = -2) -> np.ndarray:
-        """``sum_g ext[..g..] * rows[..g..] mod q_i`` over the digit axis
-        ``lane_axis``; ``rows`` canonical, ``ext`` any representatives
-        below ``2**32``; canonical output."""
+    def wide_dot(self, ext: np.ndarray, rows: np.ndarray,
+                 q: np.ndarray) -> np.ndarray:
+        """``sum_g ext[.., g, :] * rows[.., g, :] mod q_i`` over the
+        digit axis (second to last); ``rows`` canonical, ``ext`` any
+        representatives below ``2**32``; canonical output."""
         # Each < 2**63 product splits into 32-bit halves which accumulate
         # exactly in uint64 over the digit axis (safe for G up to ~2**25);
         # the partial sums fold with (hi mod q) * (2**32 mod q) + lo.
         prod = ext * rows
-        hi = (prod >> _U32).sum(axis=lane_axis)
-        lo = (prod & _LO32).sum(axis=lane_axis)
+        hi = (prod >> _U32).sum(axis=-2)
+        lo = (prod & _LO32).sum(axis=-2)
         q_c = _col(q, hi.ndim)
         np.remainder(hi, q_c, out=hi)
         radix = (np.uint64(1) << _U32) % q_c

@@ -39,16 +39,19 @@ def _zeta_twist(n: int) -> np.ndarray:
     return np.exp(1j * np.pi * k / n)
 
 
+def _require_finite(values: np.ndarray) -> None:
+    """Reject NaN and infinite slot values before the FFT sees them (an
+    infinity would turn into NaNs inside the transform and the twist)."""
+    if not np.isfinite(values).all():
+        raise ValueError("cannot encode non-finite input (NaN or infinity)")
+
+
 def _round_scaled(scaled: np.ndarray) -> np.ndarray:
-    """Round scaled coefficients to int64, refusing non-finite values and
-    anything at or past ``2**62`` (``not limit < 2**62`` also catches
-    NaN, which fails every comparison)."""
+    """Round scaled coefficients to int64, refusing anything at or past
+    ``2**62`` (``not limit < 2**62`` also catches a scale that overflowed
+    to infinity or NaN, which fails every comparison)."""
     limit = float(np.max(np.abs(scaled))) if scaled.size else 0.0
     if not limit < 2**62:
-        if not np.isfinite(limit):
-            raise ValueError(
-                "cannot encode non-finite input (NaN or infinity)"
-            )
         raise ValueError(
             "scaled coefficients overflow 62 bits; reduce the scale"
         )
@@ -81,6 +84,7 @@ class Encoder:
         (scale 1) — the exact linear map behind :meth:`encode`."""
         z = np.zeros(self.slots, dtype=np.complex128)
         values = np.asarray(values, dtype=np.complex128).ravel()
+        _require_finite(values)
         if len(values) > self.slots:
             raise ValueError(
                 f"{len(values)} values exceed the {self.slots} slots"
@@ -111,6 +115,7 @@ class Encoder:
             raise ValueError(
                 f"{rows.shape[1]} values exceed the {self.slots} slots"
             )
+        _require_finite(rows)
         z = np.zeros((rows.shape[0], self.slots), dtype=np.complex128)
         z[:, : rows.shape[1]] = rows
 

@@ -18,12 +18,14 @@ table is an addressing mode, not an extra pass.
 
 :func:`hoisted_rotations` stops there. It returns a
 :class:`HoistedRotations`: every step's eval-form key-switch
-accumulators over ``Q ∪ P``, with ModDown *deferred*. Two consumers
-finish the job:
+accumulators over ``Q ∪ P``, with ModDown *deferred*. Three consumers
+finish the job, all through one shared INTT → ModDown → NTT tail:
 
-* :meth:`HoistedRotations.ciphertexts` runs today's per-step tail — one
-  batched INTT → ModDown by ``P`` → NTT over every accumulator — and
-  returns ``{step: rotated ciphertext}``;
+* :meth:`HoistedRotations.ciphertexts` lowers every accumulator by
+  ``P`` and returns ``{step: rotated ciphertext}``;
+* :meth:`HoistedRotations.sum` is the rotate-and-sum of an all-reduce
+  round: ``ct + sum_s rot_s(ct)`` reduces the lanes over ``Q ∪ P`` and
+  lowers one ``(c0, c1)`` pair;
 * :meth:`HoistedRotations.weighted_sum` is **double hoisting** (Bossuat
   et al., Eurocrypt 2021): ``sum_s pt_s * rot_s(ct)`` against plaintexts
   encoded over ``Q ∪ P`` accumulates in the extended basis, and one
@@ -32,7 +34,7 @@ finish the job:
   100x design applies to HMULT (``baselines.HundredXOps``).
 
 :func:`hoisted_rotations_looped` is the per-step, per-digit oracle of
-both: :func:`hoisted_terms_looped` builds each step's rotation over
+all three: :func:`hoisted_terms_looped` builds each step's rotation over
 ``Q ∪ P`` (scaled by ``P``) one digit at a time, and
 :func:`mod_down_poly` lowers one polynomial at a time.
 """
@@ -63,31 +65,11 @@ from .ks_common import (
     present_digits,
     select_level_rows,
     stacked_inner_product,
-    stacked_key_rows,
     wide_dot,
 )
 from .ops import Evaluator
-from .poly import COEFF, EVAL, RnsPoly
+from .poly import COEFF, EVAL, RnsPoly, eval_automorphism_tables
 from .rns_context import get_rns_basis
-
-
-def _eval_automorphism_tables(steps: Sequence[int], n: int) -> np.ndarray:
-    """Stacked eval-domain gather tables for ``X -> X^(5^s)``.
-
-    The negacyclic NTT's output slot ``k`` holds the evaluation at
-    ``psi^(2k+1)``, so the automorphism with odd exponent ``t`` permutes
-    slots by ``k -> ((t * (2k+1)) mod 2N) >> 1`` — a pure gather with no
-    sign flips, bit-exact against ``INTT -> coeff automorphism -> NTT``.
-    Step ``0`` is the identity table. Returns ``src`` of shape
-    ``(num_steps, n)`` with ``out[s, k] = x[src[s, k]]``.
-    """
-    two_n = 2 * n
-    k = np.arange(n)
-    src = np.empty((len(steps), n), dtype=np.intp)
-    for s_idx, step in enumerate(steps):
-        exponent = pow(5, step, two_n)
-        src[s_idx] = (exponent * (2 * k + 1)) % two_n >> 1
-    return src
 
 
 def _split_steps(steps: Sequence[int], keys: KeySet
@@ -144,6 +126,54 @@ class HoistedRotations:
                    reads=(ct,), writes=(self.rot0,), args=tuple(nonzero),
                    scale=ct.scale)
 
+    def _tail(self, w: np.ndarray, keep: int, *,
+              scale: float = None):
+        """The one INTT → ModDown → NTT tail every consumer ends in.
+
+        ``w`` is an ``(L+K, lanes, N)`` eval-form tensor over the level's
+        primes plus the special primes. ModDown divides every lane by the
+        product of its rows past the first ``keep``: by ``P`` when
+        ``keep`` is the level's prime count, by ``P`` and the top
+        ``level + 1 - keep`` primes at once (a fused rescale) when lower.
+
+        Without ``scale`` the ``(keep, lanes, N)`` eval-form lanes come
+        back as one array. With it, ``w`` holds one ciphertext's
+        ``(c0, c1)`` lanes and the result is that ciphertext at level
+        ``keep - 1`` and the given scale, which the trace events carry.
+        """
+        ct = self.ct
+        n = ct.n
+        target_moduli = ct.moduli + tuple(self.ev.p_moduli)
+        kept = ct.moduli[:keep]
+        drop = len(ct.moduli) - keep
+        lanes = w.shape[1]
+        w_coeff = stacked_negacyclic_intt(
+            w, get_shoup_stack(target_moduli, n)
+        )
+        _temit("intt", rows=lanes * len(target_moduli), panes=lanes,
+               reads=(w,), writes=(w_coeff,))
+        lowered = mod_down(
+            w_coeff, get_rns_basis(kept),
+            get_rns_basis(target_moduli[keep:]),
+        )  # (keep, lanes, N)
+        fused = {"drop": drop} if drop else {}
+        _temit("moddown", main_primes=keep,
+               special_primes=len(target_moduli) - keep, polys=lanes,
+               **fused, reads=(w_coeff,), writes=(lowered,), scale=scale)
+        parts = stacked_negacyclic_ntt(lowered, get_shoup_stack(kept, n))
+        if scale is None:
+            _temit("ntt", rows=lanes * keep, panes=lanes, reads=(lowered,),
+                   writes=(parts,))
+            return parts
+        out = Ciphertext(
+            RnsPoly(np.ascontiguousarray(parts[:, 0]), kept, EVAL),
+            RnsPoly(np.ascontiguousarray(parts[:, 1]), kept, EVAL),
+            keep - 1, scale,
+        )
+        _temit("ntt", rows=lanes * keep, panes=lanes, reads=(lowered,),
+               writes=(parts, out), scale=scale)
+        return out
+
     def ciphertexts(self) -> Dict[int, Ciphertext]:
         """Finish every rotation with its own ModDown by ``P``.
 
@@ -157,29 +187,9 @@ class HoistedRotations:
         if steps:
             level_moduli = ct.moduli
             num_level = len(level_moduli)
-            special = tuple(self.ev.p_moduli)
-            target_moduli = level_moduli + special
             num_steps = len(steps)
             with _tspan("hoisted_rotations", level=ct.level):
-                acc_coeff = stacked_negacyclic_intt(
-                    self.acc, get_shoup_stack(target_moduli, ct.n)
-                )
-                _temit("intt", rows=2 * num_steps * len(target_moduli),
-                       panes=2 * num_steps, reads=(self.acc,),
-                       writes=(acc_coeff,))
-                lowered = mod_down(
-                    acc_coeff, get_rns_basis(level_moduli),
-                    get_rns_basis(special),
-                )  # (L, 2S, N)
-                _temit("moddown", main_primes=num_level,
-                       special_primes=len(special), polys=2 * num_steps,
-                       reads=(acc_coeff,), writes=(lowered,))
-                parts = stacked_negacyclic_ntt(
-                    lowered, get_shoup_stack(level_moduli, ct.n)
-                )
-                _temit("ntt", rows=2 * num_steps * num_level,
-                       panes=2 * num_steps, reads=(lowered,),
-                       writes=(parts,))
+                parts = self._tail(self.acc, num_level)  # (L, 2S, N)
                 self._emit_c0_gather(steps)
                 for s_idx, step in enumerate(steps):
                     out[step] = Ciphertext(
@@ -196,6 +206,48 @@ class HoistedRotations:
         if self.passthrough:
             out[0] = ct
         return out
+
+    def sum(self) -> Ciphertext:
+        """``ct + sum_s rot_s(ct)`` over the nonzero steps, at the same
+        level and scale, with one ModDown for the whole sum.
+
+        The ``P``-scaled lanes already hold every rotation over
+        ``Q ∪ P``; they reduce to one ``(c0, c1)`` pair there, ``P·ct``
+        joins on the Q rows (step 0, counted once whether or not it was
+        requested), and one INTT → ModDown by ``P`` → NTT finishes.
+        Rounding happens once instead of per step, so the result is the
+        looped oracle's sum of terms lowered by :func:`mod_down_poly`
+        (bit-identical), not the sum of separately lowered rotations.
+        No rescale: the all-reduce that uses it has no level to spare.
+        """
+        ct, steps = self.ct, self.steps
+        if not steps:
+            return ct
+        level_moduli = ct.moduli
+        num_level = len(level_moduli)
+        special = tuple(self.ev.p_moduli)
+        target_moduli = level_moduli + special
+        num_steps = len(steps)
+        n = ct.n
+        with _tspan("rotate_sum", level=ct.level):
+            target = get_rns_basis(target_moduli).batch
+            level = get_rns_basis(level_moduli).batch
+            # Lane reduction: S canonical residues per row sum below q^2.
+            lanes = self.acc.reshape(len(target_moduli), 2, num_steps, n)
+            w = target.reduce_mat(lanes.sum(axis=2))  # (L+K, 2, N)
+            p_mod = level.reduce_scalar(
+                get_rns_basis(special).product).reshape(-1, 1, 1)
+            lifted = level.mul_mat(
+                np.stack((ct.c0.data, ct.c1.data), axis=1), p_mod)
+            w[:num_level] = level.add_mat(w[:num_level], lifted)
+            self._emit_c0_gather(steps)
+            # One pass over the S + 1 lanes (the passthrough included),
+            # reading both accumulators and the rotated c0 per step.
+            _temit("inner_product", primes=len(target_moduli),
+                   digits=num_steps + 1, accumulators=2,
+                   reads=(self.acc, self.rot0, ct), writes=(w,),
+                   scale=ct.scale)
+            return self._tail(w, num_level, scale=ct.scale)
 
     def weighted_sum(self, steps: Sequence[int], stack: np.ndarray,
                      pt_scale: float) -> Ciphertext:
@@ -259,31 +311,9 @@ class HoistedRotations:
                    digits=len(steps), accumulators=3,
                    reads=(self.acc, self.rot0, ct), writes=(w,),
                    scale=out_scale)
-
-            # The fused tail: one INTT, one ModDown by P·q_l, one NTT.
-            kept = level_moduli[:num_level - drop]
+            # The fused tail: one ModDown by P·q_l.
             out_scale /= math.prod(level_moduli[num_level - drop:])
-            w_coeff = stacked_negacyclic_intt(
-                w, get_shoup_stack(target_moduli, n)
-            )
-            _temit("intt", rows=2 * len(target_moduli), panes=2, reads=(w,),
-                   writes=(w_coeff,))
-            lowered = mod_down(
-                w_coeff, get_rns_basis(kept),
-                get_rns_basis(level_moduli[num_level - drop:] + special),
-            )  # (L - k, 2, N)
-            _temit("moddown", main_primes=len(kept),
-                   special_primes=drop + len(special), polys=2, drop=drop,
-                   reads=(w_coeff,), writes=(lowered,), scale=out_scale)
-            parts = stacked_negacyclic_ntt(lowered, get_shoup_stack(kept, n))
-            out = Ciphertext(
-                RnsPoly(np.ascontiguousarray(parts[:, 0]), kept, EVAL),
-                RnsPoly(np.ascontiguousarray(parts[:, 1]), kept, EVAL),
-                ct.level - drop, out_scale,
-            )
-            _temit("ntt", rows=2 * len(kept), panes=2, reads=(lowered,),
-                   writes=(parts, out), scale=out_scale)
-            return out
+            return self._tail(w, num_level - drop, scale=out_scale)
 
 
 @bounded()
@@ -293,10 +323,12 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
     one digit NTT, and stop before ModDown.
 
     Requires a rotation key for each nonzero step. The inner products run
-    per step against each key's cached level row stacks, so no
-    ``(L+K, S, G, N)`` gathered tensor or concatenated key stack is ever
-    built. Finish with :meth:`HoistedRotations.ciphertexts` (per-step
-    ModDown) or :meth:`HoistedRotations.weighted_sum` (one fused
+    per step against level views of each key's stacks, so no
+    ``(L+K, S, G, N)`` gathered tensor, concatenated key stack or
+    per-level key copy is ever built. Finish with
+    :meth:`HoistedRotations.ciphertexts` (per-step ModDown),
+    :meth:`HoistedRotations.sum` (one ModDown for the whole
+    rotate-and-sum) or :meth:`HoistedRotations.weighted_sum` (one fused
     ModDown·rescale).
     """
     steps, passthrough = _split_steps(steps, keys)
@@ -343,14 +375,13 @@ def hoisted_rotations(ev: Evaluator, ct: Ciphertext, steps: Sequence[int],
         # already streams the full digit stack per step, and reading it
         # through the permutation table costs index arithmetic, not a
         # separate gmem round trip — so no kernel is emitted for it.
-        src = _eval_automorphism_tables(steps, n)
+        src = eval_automorphism_tables(
+            [pow(5, step, 2 * n) for step in steps], n)
         num_steps = len(steps)
         acc = np.empty((num_target, 2 * num_steps, n), dtype=np.uint64)
         for s_idx, step in enumerate(steps):
-            b_rows, a_rows = stacked_key_rows(keys.rotation[step], num_level)
             acc[:, s_idx], acc[:, num_steps + s_idx] = stacked_inner_product(
-                ext_eval[:, :, src[s_idx]], b_rows, a_rows,
-                target_basis.batch,
+                ext_eval[:, :, src[s_idx]], keys.rotation[step], num_level,
             )
         _temit("inner_product", primes=num_target, digits=num_digits,
                accumulators=2, steps=num_steps, reads=(ext_eval,),

@@ -40,21 +40,34 @@ class PublicKey:
     a: RnsPoly
 
 
-@dataclass
+@dataclass(eq=False)
 class KeySwitchKey:
-    """Hybrid switching key: one RLWE pair per digit over the Q*P basis."""
+    """Hybrid switching key: one RLWE pair per digit over the Q*P basis.
 
-    pairs: List[Tuple[RnsPoly, RnsPoly]]  # [(b_j, a_j)]
+    Stored once, in the layout the batched inner product reads: ``b`` and
+    ``a`` are read-only ``(L+K, dnum, N)`` eval-form stacks over the full
+    chain ``q_0..q_L ++ p_0..p_(K-1)``, digit ``j`` in column ``j``. Every
+    other form of the key — a digit's pair, the rows of one level — is a
+    view of these two arrays (:func:`.ks_common.key_level_views`).
+    Keys compare by identity (array fields have no boolean ``==``).
+    """
+
+    b: np.ndarray
+    a: np.ndarray
+    moduli: Tuple[int, ...]
     digits: List[List[int]]
-    #: Per-level cache of the stacked (b, a) evk row tensors the batched
-    #: key-switch consumes (built lazily by ``ks_common.stacked_key_rows``).
-    _row_cache: Dict[int, tuple] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def dnum(self) -> int:
-        return len(self.pairs)
+        return len(self.digits)
+
+    @property
+    def pairs(self) -> List[Tuple[RnsPoly, RnsPoly]]:
+        """``[(b_j, a_j)]``: each digit's pair as full-chain polynomial
+        views of the stacks."""
+        return [(RnsPoly(self.b[:, j], self.moduli, EVAL),
+                 RnsPoly(self.a[:, j], self.moduli, EVAL))
+                for j in range(self.dnum)]
 
 
 @dataclass
@@ -183,9 +196,12 @@ class KeyGenerator:
                 f"prime product P ({p_bits} bits); increase num_special or "
                 "dnum"
             )
-        pairs: List[Tuple[RnsPoly, RnsPoly]] = []
         qp_basis = get_rns_basis(self.qp_moduli)
-        for digit in digits:
+        n = self.params.n
+        shape = (len(self.qp_moduli), len(digits), n)
+        b_stack = np.empty(shape, dtype=np.uint64)
+        a_stack = np.empty(shape, dtype=np.uint64)
+        for j, digit in enumerate(digits):
             d_product = 1
             for i in digit:
                 d_product *= self.q_moduli[i]
@@ -193,15 +209,16 @@ class KeyGenerator:
             t_j = q_hat * modinv(q_hat % d_product, d_product)
             payload = source.mul_scalar(self.p_product * t_j)
             a = RnsPoly(
-                sample_uniform(qp_basis, self.params.n, self.rng),
-                self.qp_moduli, EVAL,
+                sample_uniform(qp_basis, n, self.rng), self.qp_moduli, EVAL,
             )
             e = RnsPoly.from_signed(
-                sample_error(self.params.n, self.rng,
-                             std=self.params.error_std)
+                sample_error(n, self.rng, std=self.params.error_std)
                 * self.error_scale,
                 self.qp_moduli,
             ).to_eval()
-            b = e - a * secret.poly + payload
-            pairs.append((b, a))
-        return KeySwitchKey(pairs=pairs, digits=digits)
+            b_stack[:, j] = (e - a * secret.poly + payload).data
+            a_stack[:, j] = a.data
+        b_stack.setflags(write=False)
+        a_stack.setflags(write=False)
+        return KeySwitchKey(b=b_stack, a=a_stack, moduli=self.qp_moduli,
+                            digits=digits)

@@ -22,9 +22,10 @@ parallelism WarpDrive's PE kernels exploit (§IV-C):
   are single primes;
 * one stacked NTT transforms all ``dnum * (L+K)`` rows
   (:mod:`repro.ntt.stacked`);
-* the InnerProduct is a single einsum-style wide-accumulator reduction
-  against the stacked evk rows (:func:`~.ks_common.stacked_inner_product`)
-  — no per-digit ``acc = acc + ext * rows`` temporaries;
+* the InnerProduct is a wide-accumulator reduction against level views
+  of the key's stacks (:func:`~.ks_common.stacked_inner_product`) — no
+  per-digit ``acc = acc + ext * rows`` temporaries and no per-level copy
+  of the key;
 * both accumulators ride one batched INTT → ModDown → NTT tail.
 
 :func:`keyswitch_looped` preserves the per-digit pipeline as the
@@ -57,7 +58,6 @@ from .ks_common import (
     present_digits,
     select_level_rows,
     stacked_inner_product,
-    stacked_key_rows,
 )
 from .poly import COEFF, EVAL, RnsPoly
 from .rns_context import get_rns_basis
@@ -127,28 +127,20 @@ def keyswitch(d: RnsPoly, ksk: KeySwitchKey, special_moduli: Tuple[int, ...],
             pool.allocate(ext.nbytes, "modup_digits")
 
         # stage 3: NTT — all dnum'*(L+K) rows in one stacked pass. The
-        # output stays *lazy* (< 2q) and in the kernel's digit-innermost
-        # (L+K, N, G) layout: the wide-accumulator inner product tolerates
-        # 32-bit representatives and reduces over the contiguous digit
-        # axis, so both the canonicalization and the transpose back are
+        # output stays *lazy* (< 2q): the wide-accumulator inner product
+        # tolerates 32-bit representatives, so the canonicalization is
         # skipped.
-        ext_eval = stacked_negacyclic_ntt(
-            ext, stack_target, lazy=True, t_out=True
-        )
+        ext_eval = stacked_negacyclic_ntt(ext, stack_target, lazy=True)
         _temit("ntt", rows=num_digits * num_target, panes=num_digits,
                reads=(ext,), writes=(ext_eval,))
         if pool is not None:
             pool.allocate(ext_eval.nbytes, "ntt_digits")
 
-        # stage 4: InnerProduct — one wide-accumulator reduction over the
-        # digit axis against the per-level evk row stacks (cached on key).
-        b_stack, a_stack = stacked_key_rows(ksk, num_level, t_layout=True)
-        acc = np.stack(
-            stacked_inner_product(
-                ext_eval, b_stack, a_stack, target_basis.batch, lane_axis=-1
-            ),
-            axis=1,
-        )
+        # stage 4: InnerProduct — wide-accumulator reductions over the
+        # digit axis against level views of the key's (L+K, G, N) stacks.
+        acc = np.empty((num_target, 2, n), dtype=np.uint64)
+        acc[:, 0], acc[:, 1] = stacked_inner_product(ext_eval, ksk,
+                                                     num_level)
         _temit("inner_product", primes=num_target, digits=num_digits,
                accumulators=2, reads=(ext_eval,), writes=(acc,),
                key_material=(ksk,))

@@ -4,9 +4,9 @@
 polynomials to the current level, enumerate the digits present at that
 level, and accumulate digit-times-key inner products. These helpers used
 to be copy-pasted between the two modules; they live here once, together
-with the batched building blocks the fused pipelines share: the per-level
-stacked key-row cache and the wide-accumulator inner product that mirrors
-the paper's tensor-core MAC kernels (§IV-C).
+with the batched building blocks the fused pipelines share: the level
+views of a key's stacks and the wide-accumulator inner product that
+mirrors the paper's tensor-core MAC kernels (§IV-C).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from ..backend import active_backend
 from ..numtheory.barrett import BatchBarrettReducer
 from .keys import KeySwitchKey
 from .poly import RnsPoly
+from .rns_context import get_rns_basis
 
 
 def full_chain_length(ksk: KeySwitchKey) -> int:
@@ -65,60 +66,36 @@ def present_digits(digits: Sequence[Sequence[int]],
 
 
 @returns_view
-def stacked_key_rows(ksk: KeySwitchKey, num_level: int, *,
-                     t_layout: bool = False
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(b_stack, a_stack)``: the key's evk rows restricted to the level,
-    stacked per present digit into ``(num_level + K, G, N)`` tensors —
-    the operand layout of the batched inner product.
+@bounded(assume=True, out_q=1)
+def key_level_views(ksk: KeySwitchKey, num_level: int
+                    ) -> Tuple[Tuple[np.ndarray, np.ndarray],
+                               Tuple[np.ndarray, np.ndarray]]:
+    """``((b_q, a_q), (b_p, a_p))``: the key restricted to a level, as
+    views of its stacks — Q rows ``[:num_level]``, P rows
+    ``[full_len:]``, and the ``G'`` digits present at the level (digits
+    are contiguous prime ranges, so the present ones are a prefix).
 
-    ``t_layout`` returns the digit-innermost ``(num_level + K, N, G)``
-    transpose instead, matching the stacked NTT's working layout so the
-    inner product reduces over a contiguous axis.
-
-    The stacks depend only on ``(key, num_level, layout)``, so they are
-    built once and cached on the key (read-only views; BSGS transforms and
-    bootstrap CoeffToSlot hit the same rotation keys at the same level
-    repeatedly).
+    Each view is ``(rows, G', N)``, the operand layout of the batched
+    inner product; no key array is built or cached per level.
     """
-    cache_key = (num_level, t_layout)
-    cached = ksk._row_cache.get(cache_key)
-    if cached is not None:
-        return cached
     full_len = full_chain_length(ksk)
     _, digit_indices = present_digits(ksk.digits, num_level)
-    rows = level_row_indices(
-        num_level, full_len, ksk.pairs[0][0].num_primes
-    )
-    b_stack = np.stack(
-        [ksk.pairs[j][0].data[rows] for j in digit_indices], axis=1
-    )
-    a_stack = np.stack(
-        [ksk.pairs[j][1].data[rows] for j in digit_indices], axis=1
-    )
-    if t_layout:
-        b_stack = np.ascontiguousarray(b_stack.transpose(0, 2, 1))
-        a_stack = np.ascontiguousarray(a_stack.transpose(0, 2, 1))
-    b_stack.setflags(write=False)
-    a_stack.setflags(write=False)
-    ksk._row_cache[cache_key] = (b_stack, a_stack)
-    return b_stack, a_stack
+    g = len(digit_indices)
+    return ((ksk.b[:num_level, :g], ksk.a[:num_level, :g]),
+            (ksk.b[full_len:, :g], ksk.a[full_len:, :g]))
 
 
 @bounded(assume=True, out_q=1, max_lanes=1 << 20,
          params={"ext": {"bits": 32}, "rows": {"q": 1}})
 def wide_dot(ext: np.ndarray, rows: np.ndarray,
-             reducer: BatchBarrettReducer, *,
-             lane_axis: int = -2) -> np.ndarray:
-    """``sum_g ext[..g..] * rows[..g..] mod q`` without per-digit
+             reducer: BatchBarrettReducer) -> np.ndarray:
+    """``sum_g ext[.., g, :] * rows[.., g, :] mod q`` without per-digit
     reduction — the host mirror of a tensor-core MAC tile.
 
     Operands are ``(P, ..., G, N)`` tensors (prime axis leading, digit
-    axis ``lane_axis``; pass ``lane_axis=-1`` for the digit-innermost
-    ``(P, N, G)`` layout the stacked NTT works in). ``rows`` must be
-    canonical; ``ext`` may be *lazy* — any representatives ``< 2**32``
-    give the same result, so the stacked NTT can skip its final
-    canonicalization.
+    axis second to last). ``rows`` must be canonical; ``ext`` may be
+    *lazy* — any representatives ``< 2**32`` give the same result, so the
+    stacked NTT can skip its final canonicalization.
 
     The split-accumulate kernel lives in the backend
     (:mod:`repro.backend`): each ``< 2**63`` product splits into 32-bit
@@ -128,19 +105,27 @@ def wide_dot(ext: np.ndarray, rows: np.ndarray,
     bit-identical to the reference ``acc = acc + reduce(ext_g * rows_g)``
     chain.
     """
-    return active_backend().wide_dot(ext, rows, reducer.q_row(),
-                                     lane_axis=lane_axis)
+    return active_backend().wide_dot(ext, rows, reducer.q_row())
 
 
-@bounded(out_q=1,
-         params={"ext_eval": {"bits": 32}, "b_stack": {"q": 1},
-                 "a_stack": {"q": 1}})
-def stacked_inner_product(ext_eval: np.ndarray, b_stack: np.ndarray,
-                          a_stack: np.ndarray,
-                          reducer: BatchBarrettReducer, *,
-                          lane_axis: int = -2
+@bounded(out_q=1, params={"ext_eval": {"bits": 32}})
+def stacked_inner_product(ext_eval: np.ndarray, ksk: KeySwitchKey,
+                          num_level: int
                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """KeySwitch InnerProduct against both evk components in one shape:
-    ``(acc0, acc1) = (ext . b, ext . a)`` reduced over the digit axis."""
-    return wide_dot(ext_eval, b_stack, reducer, lane_axis=lane_axis), \
-        wide_dot(ext_eval, a_stack, reducer, lane_axis=lane_axis)
+    """KeySwitch InnerProduct against both evk components:
+    ``(acc0, acc1) = (ext . b, ext . a)`` reduced over the digit axis.
+
+    ``ext_eval`` is the ``(num_level + K, G', N)`` extended digit stack;
+    the products run as two :func:`wide_dot` calls per component, one
+    over the Q rows and one over the P rows of :func:`key_level_views`.
+    """
+    (b_q, a_q), (b_p, a_p) = key_level_views(ksk, num_level)
+    full_len = full_chain_length(ksk)
+    q_red = get_rns_basis(ksk.moduli[:num_level]).batch
+    p_red = get_rns_basis(ksk.moduli[full_len:]).batch
+    ext_q, ext_p = ext_eval[:num_level], ext_eval[num_level:]
+    acc0 = np.concatenate((wide_dot(ext_q, b_q, q_red),
+                           wide_dot(ext_p, b_p, p_red)))
+    acc1 = np.concatenate((wide_dot(ext_q, a_q, q_red),
+                           wide_dot(ext_p, a_p, p_red)))
+    return acc0, acc1

@@ -25,7 +25,7 @@ from .ciphertext import Ciphertext, Plaintext
 from .keys import KeySet, KeySwitchKey, PublicKey, SecretKey
 from .keyswitch import keyswitch
 from .params import CkksParams
-from .poly import EVAL, RnsPoly
+from .poly import EVAL, RnsPoly, eval_automorphism_tables
 from .rescale import rescale_poly
 from .sampling import sample_error, sample_ternary
 
@@ -314,14 +314,15 @@ class Evaluator:
                       key: KeySwitchKey, op: str = "hrotate",
                       step: int = 0) -> Ciphertext:
         with _tspan(op, level=ct.level):
-            rot0 = ct.c0.to_coeff().automorphism(exponent).to_eval()
-            rot1 = ct.c1.to_coeff().automorphism(exponent).to_eval()
-            # One gather event for both polynomials: the coefficient-domain
-            # round trip above is a functional-layer artifact (a negacyclic
-            # automorphism permutes either domain), so the trace records
-            # what a GPU launches — the in-place eval-domain permutation.
-            # ``args`` carries the slot step (-1 = conjugation) so the
-            # optimizer and key audits know *which* rotation this was.
+            # A negacyclic automorphism permutes the eval domain with no
+            # sign flips, so both polynomials are one gather each — what
+            # a GPU launches, and bit-identical to INTT -> coefficient
+            # automorphism -> NTT. ``args`` carries the slot step (-1 =
+            # conjugation) so the optimizer and key audits know *which*
+            # rotation this was.
+            src = eval_automorphism_tables([exponent], ct.n)[0]
+            rot0 = RnsPoly(ct.c0.data[:, src], ct.moduli, EVAL)
+            rot1 = RnsPoly(ct.c1.data[:, src], ct.moduli, EVAL)
             _temit("automorphism", primes=ct.level + 1, polys=2,
                    reads=(ct,), writes=(rot0, rot1), args=(step,),
                    scale=ct.scale)

@@ -58,6 +58,25 @@ def reducer_cache_stats() -> dict:
     }
 
 
+def eval_automorphism_tables(exponents: Sequence[int], n: int) -> np.ndarray:
+    """Stacked eval-domain gather tables for ``X -> X^t``, one per
+    exponent.
+
+    The negacyclic NTT's output slot ``k`` holds the evaluation at
+    ``psi^(2k+1)``, so the automorphism with odd exponent ``t`` permutes
+    slots by ``k -> ((t * (2k+1)) mod 2N) >> 1`` — a pure gather with no
+    sign flips, bit-exact against ``INTT -> coeff automorphism -> NTT``.
+    Exponent ``1`` is the identity table. Returns ``src`` of shape
+    ``(len(exponents), n)`` with ``out[e, k] = x[src[e, k]]``.
+    """
+    two_n = 2 * n
+    k = np.arange(n)
+    src = np.empty((len(exponents), n), dtype=np.intp)
+    for e_idx, exponent in enumerate(exponents):
+        src[e_idx] = (exponent * (2 * k + 1)) % two_n >> 1
+    return src
+
+
 @dataclass
 class RnsPoly:
     """A polynomial in RNS representation.

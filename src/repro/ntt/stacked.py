@@ -19,7 +19,7 @@ Every stacked transform is a sequence of exact float64 GEMMs over
   ``psi^-j`` and ``N^-1`` are folded into the per-prime tables
   (:class:`repro.ntt.limbgemm.GemmNttPlan`, cached per ``(q, N)``), and
   the frequencies leave in digit order that one strided copy
-  restores (or writes as the digit-innermost ``t_out`` layout).
+  restores.
 * **Exact by construction.** Balanced limbs keep every GEMM sum below
   ``2**53`` for inputs up to ``2**31`` in magnitude; raw inputs below
   ``2**32`` are centred by ``-2**31`` on entry. The plan refuses any
@@ -97,8 +97,7 @@ def _check_shape(x: np.ndarray, stack: ShoupStack) -> np.ndarray:
 @takes_form(x="coeff")
 @bounded(in_bits=32, out_q=1, out_q_lazy=2, params={"x": {"bits": 32}})
 def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
-                           lazy: bool = False,
-                           t_out: bool = False) -> np.ndarray:
+                           lazy: bool = False) -> np.ndarray:
     """Forward negacyclic NTT of a ``(P, G, N)`` digit batch (or a plain
     ``(P, N)`` matrix) in one pass; canonical output, same shape.
 
@@ -112,15 +111,10 @@ def stacked_negacyclic_ntt(x: np.ndarray, stack: ShoupStack, *,
     ``lazy``: skip the final canonicalization and return lazy values
     ``< 2q`` (congruent to the canonical transform) — for consumers that tolerate 32-bit
     representatives, e.g. the wide-accumulator inner product.
-    ``t_out``: return the digit-innermost ``(P, N, G)`` working layout
-    directly, skipping the transpose back (3-D batches only); consumers
-    that reduce over the digit axis read it contiguously.
     """
     squeeze = x.ndim == 2
-    if squeeze and t_out:
-        raise ValueError("t_out requires a 3-D (P, G, N) batch")
     x = _check_shape(x, stack)
-    out = active_backend().ntt_forward(x, stack, lazy=lazy, t_out=t_out)
+    out = active_backend().ntt_forward(x, stack, lazy=lazy)
     return out[:, 0, :] if squeeze else out
 
 

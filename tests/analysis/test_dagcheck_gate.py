@@ -20,11 +20,15 @@ from repro.analysis.dagcheck import (
 from repro.analysis.dagcheck.runner import CERT_SLACK
 
 
+#: Forge targets, smallest first; only the HELR iteration holds a
+#: hoisted rotate-and-sum.
+FORGE_TARGETS = ("resnet_block", "aes_transcipher", "helr_iteration")
+
+
 @pytest.fixture(scope="module")
 def traces():
     recorders = CATALOG()
-    return {name: recorders[name]()
-            for name in ("resnet_block", "aes_transcipher")}
+    return {name: recorders[name]() for name in FORGE_TARGETS}
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +61,21 @@ class TestCatalogClean:
 class TestMutationKills:
     def test_every_forge_is_killed(self, traces):
         for name, (rule, _) in MUTATIONS.items():
-            try:
-                found = forge(name, traces["resnet_block"])
-            except ValueError:
-                found = forge(name, traces["aes_transcipher"])
+            for target in FORGE_TARGETS:
+                try:
+                    found = forge(name, traces[target])
+                    break
+                except ValueError:
+                    continue
+            else:
+                pytest.fail(f"no catalog trace supports forge {name}")
             assert found, f"mutation {name} survived"
             assert {f.rule for f in found} == {rule}
+
+    def test_sum_moddown_forge_targets_the_rotate_sum(self, traces):
+        assert forge("dropped_sum_moddown", traces["helr_iteration"])
+        with pytest.raises(ValueError):
+            forge("dropped_sum_moddown", traces["resnet_block"])
 
     def test_runner_records_kills(self, result):
         assert set(result.mutation_kills) == set(MUTATIONS)

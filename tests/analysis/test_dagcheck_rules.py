@@ -6,6 +6,7 @@ checker cannot hide behind the catalog workloads all being clean.
 """
 
 import dataclasses
+import types
 
 import pytest
 
@@ -62,6 +63,47 @@ class TestLevelRule:
         assert rules_of(check_semantics(t)) == ["D-LVL"]
         clean = trace(ev(0, "modmul", level=2, shape={"rows": 6}))
         assert check_semantics(clean) == []
+
+
+class TestBasisRule:
+    """Data over ``Q_l ∪ P`` must come down through a ModDown."""
+
+    PARAMS = types.SimpleNamespace(num_special=2)
+
+    def keyswitch(self, moddown=True):
+        # Level 2 (3 primes) plus 2 special primes = 5 per extended pane.
+        events = [
+            ev(0, "intt", shape={"rows": 3}),
+            ev(1, "modup", deps=[0]),
+            ev(2, "ntt", deps=[1], shape={"rows": 10, "panes": 2}),
+            ev(3, "inner_product", deps=[2], shape={"primes": 5}),
+            ev(4, "intt", deps=[3], shape={"rows": 10, "panes": 2}),
+        ]
+        if moddown:
+            events.append(ev(5, "moddown", deps=[4],
+                             shape={"main_primes": 3}))
+        events.append(ev(6, "ntt", deps=[5 if moddown else 4],
+                         shape={"rows": 6, "panes": 2}))
+        return dataclasses.replace(trace(*events), params=self.PARAMS)
+
+    def test_keyswitch_roundtrip_clean(self):
+        assert check_semantics(self.keyswitch()) == []
+
+    def test_dropped_moddown_flagged(self):
+        found = check_semantics(self.keyswitch(moddown=False))
+        assert rules_of(found) == ["D-LVL"]
+        assert "no ModDown" in found[0].message
+
+    def test_elementwise_on_extended_data_flagged(self):
+        t = dataclasses.replace(trace(
+            ev(0, "modup"),
+            ev(1, "modadd", deps=[0], shape={"rows": 6}),
+        ), params=self.PARAMS)
+        assert rules_of(check_semantics(t)) == ["D-LVL"]
+
+    def test_no_params_skips_rule(self):
+        t = dataclasses.replace(self.keyswitch(moddown=False), params=None)
+        assert check_semantics(t) == []
 
 
 class TestDomainRule:

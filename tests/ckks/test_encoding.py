@@ -1,5 +1,7 @@
 """Tests for the canonical-embedding encoder."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,22 @@ class TestRoundtrip:
         ctx, keys = toy_ctx
         with pytest.raises(ValueError, match="non-finite"):
             ctx.encrypt(vals, keys)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_before_the_fft(self, encoder, toy_ctx,
+                                                    bad):
+        """The typed error is the only signal: no numpy warning from an
+        FFT or twist run on infinities comes first."""
+        vals = [1.0, bad, 2.0]
+        ctx, keys = toy_ctx
+        calls = (lambda: encoder.encode(vals),
+                 lambda: encoder.encode_many([[0.5, 0.25, 0.125], vals]),
+                 lambda: ctx.encrypt(vals, keys))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    call()
 
     def test_decode_shape_check(self, encoder):
         with pytest.raises(ValueError):
